@@ -1,58 +1,18 @@
 """Bounds on the maximum span of an interval edge coloring.
 
-For a graph that admits interval colorings, the *maximum span* is the
-largest t for which an interval coloring with colors 1..t exists.  The
-functions here evaluate the known closed-form bounds; the reports bundle
-them with per-bound applicability so an aggregate view always renders.
+The *maximum span* of an interval-colorable graph is the largest t for
+which it has an interval coloring with colors 1..t.  Every value comes
+from three invariants, (|V|, |E|, triangle-free), so K_2n reports are
+O(1): no graph is built.  Each bound is one `_Bound` row; reports list
+every row with its applicability, so an aggregate view always renders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
-from .graph import Graph, complete_graph, is_triangle_free
-
-
-def construction_lower_bound(n: int) -> int:
-    """Lower bound 3n - 2 for K_2n, witnessed by `construction.construct`."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return 3 * n - 2
-
-
-def log_lower_bound(n: int) -> int:
-    """Lower bound 2n - 1 + floor(log2(2n - 1)) for K_2n.
-
-    The floor-log term uses integer bit length, never floating point,
-    so powers of two are exact.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return 2 * n - 1 + ((2 * n - 1).bit_length() - 1)
-
-
-def general_upper_bound(g: Graph) -> int:
-    """Upper bound 2|V| - 3 for any interval-colorable graph with an edge."""
-    if g.edge_count == 0:
-        raise ValueError("bound requires a graph with at least one edge")
-    return 2 * g.vertex_count - 3
-
-
-def refined_upper_bound(g: Graph) -> int:
-    """Upper bound 2|V| - 4 for any interval-colorable graph with |V| >= 3."""
-    if g.vertex_count < 3:
-        raise ValueError(f"bound requires |V| >= 3, got {g.vertex_count}")
-    return 2 * g.vertex_count - 4
-
-
-def triangle_free_upper_bound(g: Graph) -> int | None:
-    """Upper bound |V| - 1 for triangle-free interval-colorable graphs.
-
-    Returns None when g contains a triangle (bound inapplicable).
-    """
-    if not is_triangle_free(g):
-        return None
-    return g.vertex_count - 1
+from .graph import Graph, is_triangle_free
 
 
 @dataclass(frozen=True)
@@ -83,57 +43,100 @@ class BoundsReport:
         return min(values) if values else None
 
 
-def _upper_entries(g: Graph) -> tuple[BoundEntry, ...]:
-    if g.vertex_count >= 3:
-        refined = BoundEntry("refined", "2|V|-4", refined_upper_bound(g), True)
-    else:
-        refined = BoundEntry("refined", "2|V|-4", None, False, "requires |V| >= 3")
-    if g.edge_count > 0:
-        general = BoundEntry("general", "2|V|-3", general_upper_bound(g), True)
-    else:
-        general = BoundEntry(
-            "general", "2|V|-3", None, False, "requires at least one edge"
-        )
-    tf = triangle_free_upper_bound(g)
-    if tf is None:
-        triangle = BoundEntry(
-            "triangle-free", "|V|-1", None, False, "graph contains a triangle"
-        )
-    else:
-        triangle = BoundEntry("triangle-free", "|V|-1", tf, True)
-    return (refined, general, triangle)
+class _Invariants(NamedTuple):
+    vertex_count: int
+    edge_count: int
+    triangle_free: Callable[[], bool]  # run only by the row that reads it
+
+    @property
+    def even_complete(self) -> bool:
+        m = self.vertex_count
+        return m % 2 == 0 and self.edge_count == m * (m - 1) // 2
+
+
+def _k2n(n: int) -> _Invariants:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return _Invariants(2 * n, n * (2 * n - 1), lambda: n == 1)
+
+
+def _graph_invariants(g: Graph) -> _Invariants:
+    return _Invariants(g.vertex_count, g.edge_count, lambda: is_triangle_free(g))
+
+
+class _Bound(NamedTuple):
+    name: str
+    formula: str
+    value: Callable[[_Invariants], int]
+    applies: Callable[[_Invariants], bool]
+    reason: str  # shown when the bound does not apply
+
+    def entry(self, inv: _Invariants) -> BoundEntry:
+        if self.applies(inv):
+            return BoundEntry(self.name, self.formula, self.value(inv), True)
+        return BoundEntry(self.name, self.formula, None, False, self.reason)
+
+    def require(self, g: Graph, message: str) -> int:
+        inv = _graph_invariants(g)
+        if not self.applies(inv):
+            raise ValueError(message)
+        return self.value(inv)
+
+
+# The lower rows hold for K_2n only, where |V| = 2n.
+_EVEN_COMPLETE = "known lower bounds apply to complete graphs of even order"
+_CONSTRUCTION = _Bound("construction", "3n-2", lambda x: 3 * x.vertex_count // 2 - 2,
+                       lambda x: x.even_complete, _EVEN_COMPLETE)
+_LOG2 = _Bound("log2", "2n-1+floor(log2(2n-1))",
+               lambda x: x.vertex_count - 1 + (x.vertex_count - 1).bit_length() - 1,
+               lambda x: x.even_complete, _EVEN_COMPLETE)
+_REFINED = _Bound("refined", "2|V|-4", lambda x: 2 * x.vertex_count - 4,
+                  lambda x: x.vertex_count >= 3, "requires |V| >= 3")
+_GENERAL = _Bound("general", "2|V|-3", lambda x: 2 * x.vertex_count - 3,
+                  lambda x: x.edge_count > 0, "requires at least one edge")
+_TRIANGLE_FREE = _Bound("triangle-free", "|V|-1", lambda x: x.vertex_count - 1,
+                        lambda x: x.triangle_free(), "graph contains a triangle")
+
+
+def construction_lower_bound(n: int) -> int:
+    """Lower bound 3n - 2 for K_2n, witnessed by `construction.construct`."""
+    return _CONSTRUCTION.value(_k2n(n))
+
+
+def log_lower_bound(n: int) -> int:
+    """Lower bound 2n - 1 + floor(log2(2n - 1)) for K_2n, exact via int.bit_length."""
+    return _LOG2.value(_k2n(n))
+
+
+def general_upper_bound(g: Graph) -> int:
+    """Upper bound 2|V| - 3 for any interval-colorable graph with an edge."""
+    return _GENERAL.require(g, "bound requires a graph with at least one edge")
+
+
+def refined_upper_bound(g: Graph) -> int:
+    """Upper bound 2|V| - 4 for any interval-colorable graph with |V| >= 3."""
+    return _REFINED.require(g, f"bound requires |V| >= 3, got {g.vertex_count}")
+
+
+def triangle_free_upper_bound(g: Graph) -> int | None:
+    """Upper bound |V| - 1 for triangle-free interval-colorable graphs, else None."""
+    return _TRIANGLE_FREE.entry(_graph_invariants(g)).value
+
+
+def _report(inv: _Invariants) -> BoundsReport:
+    m = inv.vertex_count
+    return BoundsReport(
+        f"K_{m}" if inv.even_complete else f"graph on {m} vertices",
+        tuple(b.entry(inv) for b in (_CONSTRUCTION, _LOG2)),
+        tuple(b.entry(inv) for b in (_REFINED, _GENERAL, _TRIANGLE_FREE)),
+    )
 
 
 def bounds_for_k2n(n: int) -> BoundsReport:
-    """Every bound evaluated for the complete graph K_2n."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    lower = (
-        BoundEntry("construction", "3n-2", construction_lower_bound(n), True),
-        BoundEntry("log2", "2n-1+floor(log2(2n-1))", log_lower_bound(n), True),
-    )
-    return BoundsReport(f"K_{2 * n}", lower, _upper_entries(complete_graph(2 * n)))
+    """Every bound evaluated for the complete graph K_2n, without building it."""
+    return _report(_k2n(n))
 
 
 def bounds_for_graph(g: Graph) -> BoundsReport:
-    """Upper bounds for an arbitrary graph.
-
-    The closed-form lower bounds apply only to complete graphs of even
-    order; when g is one, they are included (marked applicable).
-    """
-    m = g.vertex_count
-    is_even_complete = m % 2 == 0 and g.edge_count == m * (m - 1) // 2
-    if is_even_complete:
-        n = m // 2
-        lower = (
-            BoundEntry("construction", "3n-2", construction_lower_bound(n), True),
-            BoundEntry("log2", "2n-1+floor(log2(2n-1))", log_lower_bound(n), True),
-        )
-    else:
-        reason = "known lower bounds apply to complete graphs of even order"
-        lower = (
-            BoundEntry("construction", "3n-2", None, False, reason),
-            BoundEntry("log2", "2n-1+floor(log2(2n-1))", None, False, reason),
-        )
-    label = f"K_{m}" if is_even_complete else f"graph on {m} vertices"
-    return BoundsReport(label, lower, _upper_entries(g))
+    """Every bound evaluated for g; the lower ones apply only if g is K_2n."""
+    return _report(_graph_invariants(g))

@@ -105,9 +105,18 @@ def graph_from_edges(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Gra
 
 
 def is_triangle_free(g: Graph) -> bool:
-    """True iff no three vertices of g are pairwise adjacent."""
-    adj = g.adjacency
+    """True iff no three vertices of g are pairwise adjacent.
+
+    Walks the edges once, with neighbor sets only for vertices met so far:
+    a triangle shows when its last edge arrives.  The work is bounded by
+    |E| and the degrees, never by vertex_count.
+    """
+    neighbors: dict[int, set[int]] = {}
     for i, j in g.edges:
-        if adj[i] & adj[j]:
+        ni = neighbors.setdefault(i, set())
+        nj = neighbors.setdefault(j, set())
+        if not ni.isdisjoint(nj):
             return False
+        ni.add(j)
+        nj.add(i)
     return True

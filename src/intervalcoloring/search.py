@@ -18,8 +18,8 @@ search is a proof of nonexistence:
   colorings under c -> t+1-c, so the first edge only tries the lower
   half of the palette.
 
-`compute_max_span` probes spans downward from the closed-form upper
-bounds to find the largest feasible one.
+`compute_max_span` probes spans downward from `span_cap` (the refined
+and general upper bounds) to find the largest feasible one.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .bounds import general_upper_bound, refined_upper_bound
+from .bounds import _GENERAL, _REFINED, _graph_invariants
 from .coloring import EdgeColoring
 from .graph import Edge, Graph
 
@@ -247,13 +247,9 @@ class MaxSpanResult:
 
 
 def span_cap(g: Graph, t_cap: int) -> int:
-    """t_cap tightened by the closed-form upper bounds that apply to g."""
-    cap = t_cap
-    if g.edge_count > 0:
-        cap = min(cap, general_upper_bound(g))
-    if g.vertex_count >= 3:
-        cap = min(cap, refined_upper_bound(g))
-    return cap
+    """t_cap tightened by the refined and general bounds, not the triangle-free one."""
+    inv = _graph_invariants(g)
+    return min([t_cap, *(b.value(inv) for b in (_REFINED, _GENERAL) if b.applies(inv))])
 
 
 def compute_max_span(

@@ -1,6 +1,9 @@
+import math
+
 import pytest
 
 from intervalcoloring import (
+    Graph,
     bounds_for_graph,
     bounds_for_k2n,
     complete_graph,
@@ -9,6 +12,7 @@ from intervalcoloring import (
     general_upper_bound,
     graph_from_edges,
     log_lower_bound,
+    parse_graph,
     refined_upper_bound,
     triangle_free_upper_bound,
 )
@@ -141,3 +145,36 @@ def test_bounds_for_graph_edgeless():
     general = next(e for e in report.upper if e.name == "general")
     assert not general.applicable
     assert report.best_upper == 3  # triangle-free |V|-1 and refined 2|V|-4
+
+
+def test_k2n_closed_form_matches_graph_path():
+    for n in range(1, 65):
+        assert bounds_for_k2n(n) == bounds_for_graph(complete_graph(2 * n)), n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 500])
+def test_bounds_for_k2n_builds_no_graph(monkeypatch, n):
+    def no_graph(self):
+        raise AssertionError("bounds_for_k2n built a Graph")
+
+    monkeypatch.setattr(Graph, "__post_init__", no_graph)
+    report = bounds_for_k2n(n)
+    entries = report.lower + report.upper
+    assert report.label == f"K_{2 * n}"
+    assert [(e.name, e.value) for e in entries] == [
+        ("construction", 3 * n - 2),
+        ("log2", 2 * n - 1 + int(math.log2(2 * n - 1))),
+        ("refined", 4 * n - 4 if n > 1 else None),
+        ("general", 4 * n - 3),
+        ("triangle-free", 1 if n == 1 else None),
+    ]
+    assert all(e.applicable == (e.value is not None) for e in entries)
+
+
+def test_bounds_for_graph_work_is_not_sized_by_the_header():
+    g = parse_graph("p 1000000 1\ne 1 2\n")
+    report = bounds_for_graph(g)
+    values = {e.name: e.value for e in report.upper}
+    assert values == {"refined": 1999996, "general": 1999997, "triangle-free": 999999}
+    assert report.best_lower is None
+    assert "adjacency" not in vars(g)

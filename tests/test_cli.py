@@ -92,28 +92,76 @@ def test_pipeline_closure_full_range():
         assert code == 0, k
 
 
+BOUNDS_N1 = """\
+K_2: bounds on the maximum interval-coloring span
+  lower  construction   3n-2                       1
+  lower  log2           2n-1+floor(log2(2n-1))     1
+  upper  refined        2|V|-4                     -  (requires |V| >= 3)
+  upper  general        2|V|-3                     1
+  upper  triangle-free  |V|-1                      1
+  best: lower 1, upper 1
+#data
+lower construction 1
+lower log2 1
+upper refined na
+upper general 1
+upper triangle-free 1
+best-lower 1
+best-upper 1
+"""
+
+BOUNDS_N3 = """\
+K_6: bounds on the maximum interval-coloring span
+  lower  construction   3n-2                       7
+  lower  log2           2n-1+floor(log2(2n-1))     7
+  upper  refined        2|V|-4                     8
+  upper  general        2|V|-3                     9
+  upper  triangle-free  |V|-1                      -  (graph contains a triangle)
+  best: lower 7, upper 8
+#data
+lower construction 7
+lower log2 7
+upper refined 8
+upper general 9
+upper triangle-free na
+best-lower 7
+best-upper 8
+"""
+
+BOUNDS_SQUARE = """\
+graph on 4 vertices: bounds on the maximum interval-coloring span
+  lower  construction   3n-2                       -  \
+(known lower bounds apply to complete graphs of even order)
+  lower  log2           2n-1+floor(log2(2n-1))     -  \
+(known lower bounds apply to complete graphs of even order)
+  upper  refined        2|V|-4                     4
+  upper  general        2|V|-3                     5
+  upper  triangle-free  |V|-1                      3
+  best: lower -, upper 3
+#data
+lower construction na
+lower log2 na
+upper refined 4
+upper general 5
+upper triangle-free 3
+best-lower na
+best-upper 3
+"""
+
+
+def test_bounds_for_n1():
+    assert run_cli(["bounds", "--n", "1"]) == (0, BOUNDS_N1, "")
+
+
 def test_bounds_for_n3():
-    code, out, _ = run_cli(["bounds", "--n", "3"])
-    assert code == 0
-    machine = out.split("#data\n", 1)[1]
-    rows = dict(
-        line.rsplit(" ", 1) for line in machine.strip().splitlines()
-    )
-    assert rows["lower construction"] == "7"
-    assert rows["lower log2"] == "7"
-    assert rows["upper refined"] == "8"
-    assert rows["upper general"] == "9"
-    assert rows["best-lower"] == "7"
-    assert rows["best-upper"] == "8"
+    assert run_cli(["bounds", "--n", "3"]) == (0, BOUNDS_N3, "")
 
 
 def test_bounds_for_graph_file(tmp_path):
     square = graph_from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
     path = tmp_path / "square.graph"
     path.write_text(emit_graph(square))
-    code, out, _ = run_cli(["bounds", "--graph", str(path)])
-    assert code == 0
-    assert "upper triangle-free 3" in out
+    assert run_cli(["bounds", "--graph", str(path)]) == (0, BOUNDS_SQUARE, "")
 
 
 def test_bounds_requires_exactly_one_input():
