@@ -59,7 +59,6 @@ from .search import (
     SearchStatus,
     compute_max_span,
     find_interval_coloring,
-    order_edges,
     span_cap,
 )
 
@@ -102,7 +101,6 @@ __all__ = [
     "graph_from_edges",
     "is_triangle_free",
     "log_lower_bound",
-    "order_edges",
     "palette",
     "parse_coloring",
     "parse_coloring_with_graph",

@@ -19,7 +19,6 @@ from .construction import case_statistics, construct
 from .graph import Graph, complete_graph
 from .search import (
     DEFAULT_NODE_BUDGET,
-    EDGE_ORDERS,
     SearchConfig,
     SearchStatus,
     compute_max_span,
@@ -135,9 +134,7 @@ def _cmd_search(args: argparse.Namespace, stdout: TextIO, stdin: TextIO) -> int:
     graph = _load_graph(args.graph, stdin)
     if args.max:
         cap = args.cap if args.cap is not None else max(span_cap(graph, 10**9), 1)
-        result = compute_max_span(
-            graph, cap, node_budget=args.budget, edge_order=args.order
-        )
+        result = compute_max_span(graph, cap, node_budget=args.budget)
         for probe in result.probes:
             stdout.write(
                 f"probe t={probe.t}: {probe.status.value} "
@@ -150,7 +147,7 @@ def _cmd_search(args: argparse.Namespace, stdout: TextIO, stdin: TextIO) -> int:
                 formats.emit_coloring(graph, result.witness), args.out, stdout
             )
         return 0
-    cfg = SearchConfig(t=args.t, node_budget=args.budget, edge_order=args.order)
+    cfg = SearchConfig(t=args.t, node_budget=args.budget)
     outcome = find_interval_coloring(graph, cfg)
     stdout.write(
         f"search t={args.t} on {graph.vertex_count} vertices, "
@@ -229,9 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--cap", type=_positive, help="with --max: do not probe spans above this"
-    )
-    p.add_argument(
-        "--order", choices=EDGE_ORDERS, default="lex", help="edge branching order"
     )
     p.add_argument("--out", help="write the witness coloring here")
     p.set_defaults(func=_cmd_search)

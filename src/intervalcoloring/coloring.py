@@ -8,6 +8,7 @@ degree(x) integers.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
@@ -159,12 +160,14 @@ def verify_interval(g: Graph, coloring: EdgeColoring) -> IntervalReport:
     * color-unused     -- some color in 1..span_t is on no edge.
 
     Never raises; a failing coloring yields verdict False plus the list.
+    The work is bounded by the edges and the span, not by vertex_count:
+    only vertices with a colored edge are visited, in ascending order.
     """
     t = coloring.span_t
     assignment = coloring.assignment
     violations: list[Violation] = []
 
-    incident: list[list[int]] = [[] for _ in range(g.vertex_count + 1)]
+    incident: defaultdict[int, list[int]] = defaultdict(list)
     incomplete: set[int] = set()
 
     if assignment.keys() == g.edges:
@@ -186,10 +189,7 @@ def verify_interval(g: Graph, coloring: EdgeColoring) -> IntervalReport:
         for e, c in sorted(out_of_range)
     )
 
-    for x in g.vertices():
-        colors = incident[x]
-        if not colors:
-            continue
+    for x, colors in sorted(incident.items()):
         distinct = set(colors)
         if len(distinct) != len(colors):
             violations.append(Violation(ViolationKind.NOT_PROPER, vertex=x))
@@ -197,7 +197,7 @@ def verify_interval(g: Graph, coloring: EdgeColoring) -> IntervalReport:
             violations.append(Violation(ViolationKind.NOT_CONSECUTIVE, vertex=x))
 
     used = set()
-    for colors in incident[1:]:
+    for colors in incident.values():
         used.update(colors)
     for c in range(1, t + 1):
         if c not in used:

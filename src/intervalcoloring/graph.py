@@ -14,31 +14,26 @@ Edge = tuple[int, int]
 class Graph:
     """A simple undirected graph: no loops, no multi-edges.
 
-    Vertices are the integers 1..vertex_count.  Edges are stored
-    canonically as (i, j) with i < j; the constructor accepts pairs in
-    either order and normalizes them.  Instances are immutable and safe
-    to share across threads.
+    Vertices are the integers 1..vertex_count.  Every edge must be a
+    canonical pair (i, j) with 1 <= i < j <= vertex_count; the
+    constructor checks this and keeps the frozenset it is given (use
+    `graph_from_edges` for pairs in either order).  Instances are
+    immutable and safe to share across threads.
     """
 
     vertex_count: int
     edges: frozenset[Edge] = frozenset()
 
     def __post_init__(self) -> None:
-        if self.vertex_count < 1:
-            raise ValueError(f"vertex_count must be >= 1, got {self.vertex_count}")
-        normalized = set()
-        for pair in self.edges:
-            x, y = pair
-            if x == y:
-                raise ValueError(f"loop edge ({x}, {y}) not allowed")
-            if x > y:
-                x, y = y, x
-            if not (1 <= x and y <= self.vertex_count):
-                raise ValueError(
-                    f"edge ({x}, {y}) out of range for {self.vertex_count} vertices"
-                )
-            normalized.add((x, y))
-        object.__setattr__(self, "edges", frozenset(normalized))
+        m = self.vertex_count
+        if m < 1:
+            raise ValueError(f"vertex_count must be >= 1, got {m}")
+        edges = frozenset(self.edges)  # the same object when given a frozenset
+        for pair in edges:
+            i, j = pair
+            if not 1 <= i < j <= m:
+                raise ValueError(f"edge {pair} must satisfy 1 <= i < j <= {m}")
+        object.__setattr__(self, "edges", edges)
 
     @property
     def edge_count(self) -> int:
@@ -100,8 +95,8 @@ def complete_graph(m: int) -> Graph:
 
 
 def graph_from_edges(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a Graph from any iterable of (possibly unordered) vertex pairs."""
-    return Graph(vertex_count, frozenset(tuple(e) for e in edges))
+    """Build a Graph from vertex pairs in either order; each is put as (min, max)."""
+    return Graph(vertex_count, frozenset((i, j) if i < j else (j, i) for i, j in edges))
 
 
 def is_triangle_free(g: Graph) -> bool:

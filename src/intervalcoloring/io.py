@@ -17,6 +17,8 @@ newline) and byte-stable, so emitted files are usable as goldens.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .coloring import EdgeColoring
 from .graph import Edge, Graph
 
@@ -31,16 +33,6 @@ class FormatError(ValueError):
         super().__init__(f"{prefix}{message}")
 
 
-def _content_lines(text: str) -> list[tuple[int, list[str]]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        out.append((lineno, stripped.split()))
-    return out
-
-
 def _int_token(token: str, what: str, lineno: int) -> int:
     try:
         return int(token)
@@ -50,13 +42,22 @@ def _int_token(token: str, what: str, lineno: int) -> int:
         ) from None
 
 
-def _parse_header(
-    lines: list[tuple[int, list[str]]], tag: str, second_field: str
-) -> tuple[int, int, int]:
-    """Return (vertex_count, second_value, header_lineno)."""
-    if not lines:
+def _records(
+    text: str, tag: str, second_field: str, arity: int
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Read a file in one pass, yielding (line number, integer fields).
+
+    The first item is the header's (vertex_count, second_field); every
+    later one is an 'e' line's `arity` fields, whose endpoints (i, j) are
+    in range and canonical.  Blank and '#' lines are skipped.
+    """
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:
+        tokens = raw.split()
+        if tokens and tokens[0][0] != "#":
+            break
+    else:
         raise FormatError("missing-header", f"empty input, expected '{tag}' header")
-    lineno, tokens = lines[0]
     if tokens[0] != tag:
         raise FormatError(
             "missing-header", f"expected '{tag}' header, got {tokens[0]!r}", lineno
@@ -71,47 +72,49 @@ def _parse_header(
     second = _int_token(tokens[2], second_field, lineno)
     if vertex_count < 1:
         raise FormatError("malformed-header", "vertex count must be >= 1", lineno)
-    return vertex_count, second, lineno
+    yield lineno, (vertex_count, second)
 
-
-def _parse_endpoints(
-    tokens: list[str], lineno: int, vertex_count: int, arity: int
-) -> tuple[int, ...]:
-    if tokens[0] != "e":
-        raise FormatError(
-            "unknown-directive", f"expected an 'e' line, got {tokens[0]!r}", lineno
-        )
-    if len(tokens) != arity + 1:
-        raise FormatError(
-            "malformed-edge", f"'e' line needs {arity} integer fields", lineno
-        )
-    values = tuple(_int_token(tok, "edge field", lineno) for tok in tokens[1:])
-    i, j = values[0], values[1]
-    if not (1 <= i <= vertex_count and 1 <= j <= vertex_count):
-        raise FormatError(
-            "id-out-of-range",
-            f"vertex ids ({i}, {j}) out of range 1..{vertex_count}",
-            lineno,
-        )
-    if i >= j:
-        raise FormatError(
-            "noncanonical-edge", f"edge ({i}, {j}) must satisfy i < j", lineno
-        )
-    return values
+    for lineno, raw in lines:
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
+            continue
+        if tokens[0] != "e":
+            raise FormatError(
+                "unknown-directive", f"expected an 'e' line, got {tokens[0]!r}", lineno
+            )
+        if len(tokens) != arity + 1:
+            raise FormatError(
+                "malformed-edge", f"'e' line needs {arity} integer fields", lineno
+            )
+        try:
+            fields = tuple(map(int, tokens[1:]))
+        except ValueError:  # re-read to name the first bad token
+            fields = tuple([_int_token(t, "edge field", lineno) for t in tokens[1:]])
+        i, j = fields[0], fields[1]
+        if not (1 <= i <= vertex_count and 1 <= j <= vertex_count):
+            raise FormatError(
+                "id-out-of-range",
+                f"vertex ids ({i}, {j}) out of range 1..{vertex_count}",
+                lineno,
+            )
+        if i >= j:
+            raise FormatError(
+                "noncanonical-edge", f"edge ({i}, {j}) must satisfy i < j", lineno
+            )
+        yield lineno, fields
 
 
 def parse_graph(text: str) -> Graph:
     """Parse a graph file; all malformations raise FormatError."""
-    lines = _content_lines(text)
-    vertex_count, edge_count, header_line = _parse_header(lines, "p", "edge_count")
+    records = _records(text, "p", "edge_count", 2)
+    header_line, (vertex_count, edge_count) = next(records)
     if edge_count < 0:
         raise FormatError("malformed-header", "edge count must be >= 0", header_line)
     edges: set[Edge] = set()
-    for lineno, tokens in lines[1:]:
-        i, j = _parse_endpoints(tokens, lineno, vertex_count, 2)
-        if (i, j) in edges:
-            raise FormatError("duplicate-edge", f"duplicate edge ({i}, {j})", lineno)
-        edges.add((i, j))
+    for lineno, edge in records:
+        if edge in edges:
+            raise FormatError("duplicate-edge", f"duplicate edge {edge}", lineno)
+        edges.add(edge)
     if len(edges) != edge_count:
         raise FormatError(
             "count-mismatch",
@@ -137,8 +140,8 @@ def parse_coloring_with_graph(
     (unknown-edge / missing-edge errors otherwise).  Without it, the
     graph is reconstructed from the edge lines themselves.
     """
-    lines = _content_lines(text)
-    vertex_count, span_t, header_line = _parse_header(lines, "c", "span_t")
+    records = _records(text, "c", "span_t", 3)
+    header_line, (vertex_count, span_t) = next(records)
     if span_t < 1:
         raise FormatError("malformed-header", "span must be >= 1", header_line)
     if graph is not None and graph.vertex_count != vertex_count:
@@ -148,34 +151,27 @@ def parse_coloring_with_graph(
             header_line,
         )
     assignment: dict[Edge, int] = {}
-    for lineno, tokens in lines[1:]:
-        i, j, color = _parse_endpoints(tokens, lineno, vertex_count, 3)
-        if (i, j) in assignment:
-            raise FormatError("duplicate-edge", f"duplicate edge ({i}, {j})", lineno)
+    for lineno, (i, j, color) in records:
+        edge = (i, j)
+        if edge in assignment:
+            raise FormatError("duplicate-edge", f"duplicate edge {edge}", lineno)
         if not 1 <= color <= span_t:
             raise FormatError(
-                "color-out-of-range",
-                f"color {color} outside 1..{span_t}",
-                lineno,
+                "color-out-of-range", f"color {color} outside 1..{span_t}", lineno
             )
-        if graph is not None and (i, j) not in graph.edges:
+        if graph is not None and edge not in graph.edges:
             raise FormatError(
-                "unknown-edge", f"edge ({i}, {j}) is not in the graph", lineno
+                "unknown-edge", f"edge {edge} is not in the graph", lineno
             )
-        assignment[(i, j)] = color
-    if graph is not None:
-        missing = graph.edges - assignment.keys()
-        if missing:
-            i, j = min(missing)
-            raise FormatError(
-                "missing-edge",
-                f"graph edge ({i}, {j}) has no line in the file",
-                header_line,
-            )
-        resolved = graph
-    else:
-        resolved = Graph(vertex_count, frozenset(assignment))
-    return resolved, EdgeColoring(assignment, span_t)
+        assignment[edge] = color
+    if graph is None:
+        graph = Graph(vertex_count, frozenset(assignment))
+    elif len(assignment) != graph.edge_count:  # every line named a graph edge
+        missing = min(graph.edges - assignment.keys())
+        raise FormatError(
+            "missing-edge", f"graph edge {missing} has no line in the file", header_line
+        )
+    return graph, EdgeColoring(assignment, span_t)
 
 
 def parse_coloring(text: str, graph: Graph | None = None) -> EdgeColoring:

@@ -1,9 +1,9 @@
 """Exact backtracking search for interval edge colorings.
 
 `find_interval_coloring` decides, for a fixed span t, whether a graph
-admits an interval t-coloring.  Edges are colored one at a time in a
-fixed order; every prune is a necessary condition, so an exhausted
-search is a proof of nonexistence:
+admits an interval t-coloring.  Edges are colored one at a time in
+lexicographic (i, j) order; every prune is a necessary condition, so an
+exhausted search is a proof of nonexistence:
 
 * properness  -- a color may not repeat at a vertex;
 * gap filling -- at each endpoint, the holes inside the current
@@ -29,13 +29,11 @@ from enum import Enum
 
 from .bounds import _GENERAL, _REFINED, _graph_invariants
 from .coloring import EdgeColoring
-from .graph import Edge, Graph
+from .graph import Graph
 
 # Two orders of magnitude above the ~5.7e4 nodes a full K_6 span-8
 # exhaustion takes, so stock settings settle every desk-scale workload.
 DEFAULT_NODE_BUDGET = 5_000_000
-
-EDGE_ORDERS = ("lex", "connected")
 
 
 class SearchStatus(Enum):
@@ -46,26 +44,19 @@ class SearchStatus(Enum):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Span target plus determinism knobs.
+    """Span target plus node budget.
 
-    node_budget counts edge placements; 0 means unlimited.  edge_order
-    picks the fixed branching order: "lex" sorts edges by (i, j),
-    "connected" greedily keeps each next edge adjacent to earlier ones.
+    node_budget counts edge placements; 0 means unlimited.
     """
 
     t: int
     node_budget: int = DEFAULT_NODE_BUDGET
-    edge_order: str = "lex"
 
     def __post_init__(self) -> None:
         if self.t < 1:
             raise ValueError(f"t must be >= 1, got {self.t}")
         if self.node_budget < 0:
             raise ValueError(f"node_budget must be >= 0, got {self.node_budget}")
-        if self.edge_order not in EDGE_ORDERS:
-            raise ValueError(
-                f"edge_order must be one of {EDGE_ORDERS}, got {self.edge_order!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -79,26 +70,6 @@ class SearchOutcome:
         return self.status is SearchStatus.FOUND
 
 
-def order_edges(g: Graph, strategy: str) -> list[Edge]:
-    """The deterministic branching order used by the search."""
-    if strategy == "lex":
-        return list(g.sorted_edges)
-    if strategy == "connected":
-        remaining = set(g.edges)
-        touched: set[int] = set()
-        out: list[Edge] = []
-        while remaining:
-            best = min(
-                remaining,
-                key=lambda e: (-(int(e[0] in touched) + int(e[1] in touched)), e),
-            )
-            remaining.remove(best)
-            touched.update(best)
-            out.append(best)
-        return out
-    raise ValueError(f"unknown edge order {strategy!r}")
-
-
 def find_interval_coloring(g: Graph, cfg: SearchConfig) -> SearchOutcome:
     """Decide whether g admits an interval coloring with span exactly cfg.t.
 
@@ -109,7 +80,7 @@ def find_interval_coloring(g: Graph, cfg: SearchConfig) -> SearchOutcome:
     inputs give identical outcomes and node counts.
     """
     t = cfg.t
-    edges = order_edges(g, cfg.edge_order)
+    edges = g.sorted_edges
     num_edges = len(edges)
     # Degree and color-count prerequisites; both are necessary conditions.
     if t < g.max_degree or num_edges < t:
@@ -256,7 +227,6 @@ def compute_max_span(
     g: Graph,
     t_cap: int,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    edge_order: str = "lex",
 ) -> MaxSpanResult:
     """Largest t <= t_cap for which g has an interval t-coloring.
 
@@ -273,9 +243,7 @@ def compute_max_span(
     budget_gap = False
     floor_t = max(g.max_degree, 1)
     for t in range(span_cap(g, t_cap), floor_t - 1, -1):
-        outcome = find_interval_coloring(
-            g, SearchConfig(t=t, node_budget=node_budget, edge_order=edge_order)
-        )
+        outcome = find_interval_coloring(g, SearchConfig(t, node_budget))
         probes.append(ProbeRecord(t, outcome.status, outcome.nodes_explored))
         if outcome.status is SearchStatus.FOUND:
             return MaxSpanResult(t, not budget_gap, outcome.coloring, tuple(probes))

@@ -84,7 +84,8 @@ def test_lower_bounds_coincide_only_up_to_n3():
 def test_lower_bound_below_upper_bounds():
     assert construction_lower_bound(1) <= general_upper_bound(complete_graph(2))
     for n in range(2, 257):
-        assert construction_lower_bound(n) <= refined_upper_bound(complete_graph(2 * n))
+        (refined,) = [e.value for e in bounds_for_k2n(n).upper if e.name == "refined"]
+        assert construction_lower_bound(n) <= refined
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 21])

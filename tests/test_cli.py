@@ -1,4 +1,5 @@
 import io
+import time
 
 import pytest
 
@@ -70,6 +71,15 @@ def test_verify_malformed_file_is_usage_error(tmp_path):
     code, out, err = run_cli(["verify", str(path)])
     assert code == 2
     assert "duplicate edge" in err
+
+
+def test_verify_work_is_bounded_by_the_edges_not_the_header():
+    start = time.perf_counter()
+    code, out, _ = run_cli(["verify", "-"], stdin_text="c 1000000000 1\ne 1 2 1\n")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert out == "PASS: interval coloring of 1000000000 vertices, span 1, 1 edges\n"
+    assert elapsed < 1.0
 
 
 def test_missing_file_is_usage_error():

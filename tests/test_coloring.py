@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from conftest import colored_graphs
 from intervalcoloring import (
     EdgeColoring,
+    Graph,
     UncoloredEdgeError,
     ViolationKind,
     complete_graph,
@@ -124,6 +125,26 @@ def test_verify_ignores_degree_zero_vertices():
     g = graph_from_edges(3, [(1, 2)])
     c = EdgeColoring({(1, 2): 1}, span_t=1)
     assert verify_interval(g, c).verdict
+
+
+def test_verify_work_is_not_sized_by_the_header(monkeypatch):
+    # One case per violation kind, with isolated vertices and an uncolored edge.
+    k4, path = complete_graph(4), graph_from_edges(9, [(2, 5), (5, 7)])
+    cases = [
+        (complete_graph(6), construct(3)),
+        (k4, EdgeColoring({e: 1 for e in k4.edges}, span_t=1)),
+        (path, EdgeColoring({(2, 5): 1, (5, 7): 3}, span_t=4)),
+        (complete_graph(3), EdgeColoring({(1, 2): 1, (1, 3): 9}, span_t=3)),
+        (graph_from_edges(10**6, [(1, 2)]), EdgeColoring({(1, 2): 1}, span_t=1)),
+    ]
+    expected = [verify_interval(g, c) for g, c in cases]
+
+    def refuse(self):
+        raise AssertionError("verify_interval walked every vertex")
+
+    monkeypatch.setattr(Graph, "vertices", refuse)
+    assert [verify_interval(g, c) for g, c in cases] == expected
+    assert [r.verdict for r in expected] == [True, False, False, False, True]
 
 
 def test_duplicate_color_flips_verdict():

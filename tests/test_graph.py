@@ -63,6 +63,20 @@ def test_rejects_loops_and_out_of_range():
         Graph(0)
 
 
+def test_constructor_takes_canonical_pairs_only():
+    with pytest.raises(ValueError):
+        Graph(4, frozenset({(3, 1)}))
+    assert graph_from_edges(4, [(3, 1)]).edges == frozenset({(1, 3)})
+
+
+def test_constructor_keeps_the_given_edge_set():
+    edges = frozenset({(1, 2), (2, 4), (1, 4)})
+    assert Graph(4, edges).edges is edges
+    assert complete_graph(5).edges == frozenset(
+        (i, j) for i in range(1, 6) for j in range(i + 1, 6)
+    )
+
+
 def test_graph_is_immutable():
     g = complete_graph(3)
     with pytest.raises(AttributeError):

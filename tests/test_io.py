@@ -32,30 +32,41 @@ def test_parse_graph_comments_and_blank_lines():
     assert parse_graph(text) == complete_graph(3)
 
 
+GRAPH_REJECTS = [
+    ("", "missing-header", None, "empty input, expected 'p' header"),
+    ("e 1 2", "missing-header", 1, "line 1: expected 'p' header, got 'e'"),
+    ("p 2\ne 1 2", "malformed-header", 1,
+     "line 1: header needs 'p <vertex_count> <edge_count>'"),
+    ("p two 1\ne 1 2", "bad-token", 1,
+     "line 1: vertex count must be an integer, got 'two'"),
+    ("p 0 0", "malformed-header", 1, "line 1: vertex count must be >= 1"),
+    ("p 2 -1", "malformed-header", 1, "line 1: edge count must be >= 0"),
+    ("p 2 1\ne 1 2\ne 1 2", "duplicate-edge", 3, "line 3: duplicate edge (1, 2)"),
+    ("p 2 1\ne 1 3", "id-out-of-range", 2,
+     "line 2: vertex ids (1, 3) out of range 1..2"),
+    ("p 2 1\ne 2 1", "noncanonical-edge", 2, "line 2: edge (2, 1) must satisfy i < j"),
+    ("p 2 1\ne 1 1", "noncanonical-edge", 2, "line 2: edge (1, 1) must satisfy i < j"),
+    ("p 2 1\ne 1", "malformed-edge", 2, "line 2: 'e' line needs 2 integer fields"),
+    ("p 2 1\ne 1 x", "bad-token", 2, "line 2: edge field must be an integer, got 'x'"),
+    ("p 2 2\ne 1 2", "count-mismatch", 1,
+     "line 1: header declares 2 edges but file has 1"),
+    ("p 2 1\nq 1 2", "unknown-directive", 2, "line 2: expected an 'e' line, got 'q'"),
+]
+
+
+def _ids(rows):
+    return [f"{text}-{kind}-{line}" for text, kind, line, _ in rows]
+
+
 @pytest.mark.parametrize(
-    "text,kind,line",
-    [
-        ("", "missing-header", None),
-        ("e 1 2", "missing-header", 1),
-        ("p 2\ne 1 2", "malformed-header", 1),
-        ("p two 1\ne 1 2", "bad-token", 1),
-        ("p 0 0", "malformed-header", 1),
-        ("p 2 -1", "malformed-header", 1),
-        ("p 2 1\ne 1 2\ne 1 2", "duplicate-edge", 3),
-        ("p 2 1\ne 1 3", "id-out-of-range", 2),
-        ("p 2 1\ne 2 1", "noncanonical-edge", 2),
-        ("p 2 1\ne 1 1", "noncanonical-edge", 2),
-        ("p 2 1\ne 1", "malformed-edge", 2),
-        ("p 2 1\ne 1 x", "bad-token", 2),
-        ("p 2 2\ne 1 2", "count-mismatch", 1),
-        ("p 2 1\nq 1 2", "unknown-directive", 2),
-    ],
+    "text,kind,line,message", GRAPH_REJECTS, ids=_ids(GRAPH_REJECTS)
 )
-def test_parse_graph_rejects(text, kind, line):
+def test_parse_graph_rejects(text, kind, line, message):
     with pytest.raises(FormatError) as exc:
         parse_graph(text)
     assert exc.value.kind == kind
     assert exc.value.line == line
+    assert str(exc.value) == message
 
 
 def test_emit_graph_round_trip():
@@ -105,22 +116,25 @@ def test_parse_coloring_against_given_graph():
     assert dict(c.assignment) == {(1, 2): 1}
 
 
+COLORING_REJECTS = [
+    ("c 2 1\ne 1 2 0", "color-out-of-range", 2, "line 2: color 0 outside 1..1"),
+    ("c 2 2\ne 1 2 3", "color-out-of-range", 2, "line 2: color 3 outside 1..2"),
+    ("c 2 0\ne 1 2 1", "malformed-header", 1, "line 1: span must be >= 1"),
+    ("c 2 1\ne 1 2 1\ne 1 2 1", "duplicate-edge", 3, "line 3: duplicate edge (1, 2)"),
+    ("c 2 1\ne 1 2", "malformed-edge", 2, "line 2: 'e' line needs 3 integer fields"),
+    ("p 2 1\ne 1 2 1", "missing-header", 1, "line 1: expected 'c' header, got 'p'"),
+]
+
+
 @pytest.mark.parametrize(
-    "text,kind,line",
-    [
-        ("c 2 1\ne 1 2 0", "color-out-of-range", 2),
-        ("c 2 2\ne 1 2 3", "color-out-of-range", 2),
-        ("c 2 0\ne 1 2 1", "malformed-header", 1),
-        ("c 2 1\ne 1 2 1\ne 1 2 1", "duplicate-edge", 3),
-        ("c 2 1\ne 1 2", "malformed-edge", 2),
-        ("p 2 1\ne 1 2 1", "missing-header", 1),
-    ],
+    "text,kind,line,message", COLORING_REJECTS, ids=_ids(COLORING_REJECTS)
 )
-def test_parse_coloring_rejects(text, kind, line):
+def test_parse_coloring_rejects(text, kind, line, message):
     with pytest.raises(FormatError) as exc:
         parse_coloring(text)
     assert exc.value.kind == kind
     assert exc.value.line == line
+    assert str(exc.value) == message
 
 
 def test_parse_coloring_unknown_edge():

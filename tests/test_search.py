@@ -11,7 +11,6 @@ from intervalcoloring import (
     construction_lower_bound,
     find_interval_coloring,
     graph_from_edges,
-    order_edges,
     refined_upper_bound,
     reflect,
     span_cap,
@@ -19,9 +18,8 @@ from intervalcoloring import (
 )
 
 
-def decide(g, t, **kwargs):
-    cfg = SearchConfig(t=t, node_budget=kwargs.pop("node_budget", 0), **kwargs)
-    return find_interval_coloring(g, cfg)
+def decide(g, t):
+    return find_interval_coloring(g, SearchConfig(t=t, node_budget=0))
 
 
 def test_config_validation():
@@ -29,8 +27,6 @@ def test_config_validation():
         SearchConfig(t=0)
     with pytest.raises(ValueError):
         SearchConfig(t=1, node_budget=-1)
-    with pytest.raises(ValueError):
-        SearchConfig(t=1, edge_order="random")
 
 
 def test_k2_t1_found():
@@ -88,23 +84,15 @@ def test_found_at_budget_boundary_still_found():
     assert out.nodes_explored == 1
 
 
-def test_edge_orders():
-    g = graph_from_edges(5, [(1, 2), (4, 5), (2, 3)])
-    assert order_edges(g, "lex") == [(1, 2), (2, 3), (4, 5)]
-    assert order_edges(g, "connected") == [(1, 2), (2, 3), (4, 5)]
-    star_plus = graph_from_edges(5, [(1, 5), (2, 3), (3, 5)])
-    # after (1,5): (3,5) touches the frontier, (2,3) does not
-    assert order_edges(star_plus, "connected") == [(1, 5), (3, 5), (2, 3)]
-    with pytest.raises(ValueError):
-        order_edges(g, "bogus")
-
-
-@pytest.mark.parametrize("order", ["lex", "connected"])
+# "lex" is the one branching order: the search walks g.sorted_edges.
+@pytest.mark.parametrize("order", ["lex"])
 def test_decisions_agree_across_edge_orders(order):
     for g in canonical_graphs_upto(4):
         for t in range(1, 6):
-            out = decide(g, t, edge_order=order)
+            out = decide(g, t)
             assert (out.status is SearchStatus.FOUND) == brute_force_exists(g, t)
+            if out.found:
+                assert list(out.coloring.assignment) == sorted(g.edges), order
 
 
 def test_pruning_sound_on_all_small_graphs():
