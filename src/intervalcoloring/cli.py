@@ -133,7 +133,7 @@ def _cmd_search(args: argparse.Namespace, stdout: TextIO, stdin: TextIO) -> int:
         raise _CliError("--cap only applies with --max")
     graph = _load_graph(args.graph, stdin)
     if args.max:
-        cap = args.cap if args.cap is not None else max(span_cap(graph, 10**9), 1)
+        cap = args.cap if args.cap is not None else span_cap(graph, 10**9)
         result = compute_max_span(graph, cap, node_budget=args.budget)
         for probe in result.probes:
             stdout.write(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -47,12 +48,9 @@ class Graph:
         return tuple(sorted(self.edges))
 
     @cached_property
-    def _degrees(self) -> tuple[int, ...]:
-        counts = [0] * (self.vertex_count + 1)
-        for i, j in self.edges:
-            counts[i] += 1
-            counts[j] += 1
-        return tuple(counts)
+    def _degrees(self) -> Counter[int]:
+        """Degree of each vertex that has an edge; isolated vertices are absent."""
+        return Counter(x for e in self.edges for x in e)
 
     @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:
@@ -73,7 +71,7 @@ class Graph:
 
     @cached_property
     def max_degree(self) -> int:
-        return max(self._degrees[1:], default=0)
+        return max(self._degrees.values(), default=0)
 
     def has_edge(self, x: int, y: int) -> bool:
         if x > y:

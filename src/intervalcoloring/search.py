@@ -6,17 +6,20 @@ lexicographic (i, j) order; every prune is a necessary condition, so an
 exhausted search is a proof of nonexistence:
 
 * properness  -- a color may not repeat at a vertex;
-* gap filling -- at each endpoint, the holes inside the current
-  [min, max] color range must be coverable by the still-uncolored
-  incident edges (each contributes exactly one new color).  When the
-  last incident edge is placed this forces the palette to be a
-  consecutive block of exactly degree colors, and it subsumes the
-  weaker "range span <= degree" check;
+* gap filling -- a vertex's palette is deg consecutive colors that
+  cover the colors already placed there, so a new color must lie in
+  [max - deg + 1, min + deg - 1].  This window is the "range span <=
+  degree" check, and once the last incident edge is placed it forces
+  the palette to be a consecutive block of exactly deg colors;
 * color usage -- colors still unused must not outnumber the edges still
   uncolored (at completion this forces every color 1..t onto an edge);
 * reflection symmetry breaking -- valid colorings map onto valid
   colorings under c -> t+1-c, so the first edge only tries the lower
   half of the palette.
+
+Per-vertex state is one bitmask of placed colors (its highest and
+lowest set bits are the max and min) plus the degree, kept only for
+the vertices that have an edge.
 
 `compute_max_span` probes spans downward from `span_cap` (the refined
 and general upper bounds) to find the largest feasible one.
@@ -82,60 +85,52 @@ def find_interval_coloring(g: Graph, cfg: SearchConfig) -> SearchOutcome:
     t = cfg.t
     edges = g.sorted_edges
     num_edges = len(edges)
+    # State is indexed 1..k over the k vertices that have an edge, in
+    # ascending order, so isolated vertices named by the header cost nothing.
+    index = {x: k for k, x in enumerate(sorted({x for e in edges for x in e}), 1)}
+    pairs = [(index[i], index[j]) for i, j in edges]
+    deg = [0] * (len(index) + 1)
+    for u, v in pairs:
+        deg[u] += 1
+        deg[v] += 1
     # Degree and color-count prerequisites; both are necessary conditions.
-    if t < g.max_degree or num_edges < t:
+    if t < max(deg) or num_edges < t:
         return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, None, 0)
 
     budget = cfg.node_budget
-    size = g.vertex_count + 1
-    used = [0] * size  # per-vertex bitmask of incident colors
-    mn = [0] * size
-    mx = [0] * size
-    cnt = [0] * size
-    rem = [0] * size
-    for x in g.vertices():
-        rem[x] = g.degree(x)
+    used = [0] * len(deg)  # per-vertex bitmask of incident colors
     use_cnt = [0] * (t + 1)
     unused = t
 
     placed = [0] * num_edges
-    saved = [(0, 0, 0, 0)] * num_edges
     nodes = 0
     depth = 0
     start_color = 1
 
     while True:
-        u, v = edges[depth]
-        cnt_u = cnt[u]
-        cnt_v = cnt[v]
+        u, v = pairs[depth]
+        used_u = used[u]
+        used_v = used[v]
         lo = start_color
         hi = (t + 1) // 2 if depth == 0 else t
-        # Window outside which the gap-filling prune must fail.
-        if cnt_u:
-            lo = max(lo, mx[u] - (cnt_u + rem[u]) + 1)
-            hi = min(hi, mn[u] + (cnt_u + rem[u]) - 1)
-        if cnt_v:
-            lo = max(lo, mx[v] - (cnt_v + rem[v]) + 1)
-            hi = min(hi, mn[v] + (cnt_v + rem[v]) - 1)
+        # Gap-filling window: [max - deg + 1, min + deg - 1] at each endpoint
+        # that already has a color (bit_length() - 1 is the max color, the
+        # lowest set bit the min).
+        if used_u:
+            lo = max(lo, used_u.bit_length() - deg[u])
+            hi = min(hi, (used_u & -used_u).bit_length() + deg[u] - 2)
+        if used_v:
+            lo = max(lo, used_v.bit_length() - deg[v])
+            hi = min(hi, (used_v & -used_v).bit_length() + deg[v] - 2)
 
         edges_left = num_edges - depth
-        used_uv = used[u] | used[v]
+        used_uv = used_u | used_v
         chosen = 0
         for c in range(lo, hi + 1):
             if used_uv >> c & 1:
                 continue
             if unused + (use_cnt[c] > 0) > edges_left:
                 continue
-            if cnt_u:
-                new_mn = mn[u] if mn[u] < c else c
-                new_mx = mx[u] if mx[u] > c else c
-                if new_mx - new_mn - cnt_u > rem[u] - 1:
-                    continue
-            if cnt_v:
-                new_mn = mn[v] if mn[v] < c else c
-                new_mx = mx[v] if mx[v] > c else c
-                if new_mx - new_mn - cnt_v > rem[v] - 1:
-                    continue
             chosen = c
             break
 
@@ -143,29 +138,10 @@ def find_interval_coloring(g: Graph, cfg: SearchConfig) -> SearchOutcome:
             if budget and nodes == budget:
                 return SearchOutcome(SearchStatus.BUDGET_EXCEEDED, None, nodes)
             nodes += 1
-            saved[depth] = (mn[u], mx[u], mn[v], mx[v])
             placed[depth] = chosen
             bit = 1 << chosen
-            used[u] |= bit
-            used[v] |= bit
-            if cnt_u:
-                if chosen < mn[u]:
-                    mn[u] = chosen
-                elif chosen > mx[u]:
-                    mx[u] = chosen
-            else:
-                mn[u] = mx[u] = chosen
-            if cnt_v:
-                if chosen < mn[v]:
-                    mn[v] = chosen
-                elif chosen > mx[v]:
-                    mx[v] = chosen
-            else:
-                mn[v] = mx[v] = chosen
-            cnt[u] = cnt_u + 1
-            cnt[v] = cnt_v + 1
-            rem[u] -= 1
-            rem[v] -= 1
+            used[u] = used_u | bit
+            used[v] = used_v | bit
             if use_cnt[chosen] == 0:
                 unused -= 1
             use_cnt[chosen] += 1
@@ -178,16 +154,11 @@ def find_interval_coloring(g: Graph, cfg: SearchConfig) -> SearchOutcome:
             if depth == 0:
                 return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, None, nodes)
             depth -= 1
-            u, v = edges[depth]
+            u, v = pairs[depth]
             c = placed[depth]
             bit = 1 << c
-            used[u] &= ~bit
-            used[v] &= ~bit
-            mn[u], mx[u], mn[v], mx[v] = saved[depth]
-            cnt[u] -= 1
-            cnt[v] -= 1
-            rem[u] += 1
-            rem[v] += 1
+            used[u] ^= bit
+            used[v] ^= bit
             use_cnt[c] -= 1
             if use_cnt[c] == 0:
                 unused += 1
@@ -241,8 +212,7 @@ def compute_max_span(
         return MaxSpanResult(0, True, None, ())
     probes: list[ProbeRecord] = []
     budget_gap = False
-    floor_t = max(g.max_degree, 1)
-    for t in range(span_cap(g, t_cap), floor_t - 1, -1):
+    for t in range(span_cap(g, t_cap), g.max_degree - 1, -1):
         outcome = find_interval_coloring(g, SearchConfig(t, node_budget))
         probes.append(ProbeRecord(t, outcome.status, outcome.nodes_explored))
         if outcome.status is SearchStatus.FOUND:

@@ -82,6 +82,17 @@ def test_verify_work_is_bounded_by_the_edges_not_the_header():
     assert elapsed < 1.0
 
 
+def test_search_work_is_bounded_by_the_edges_not_the_header():
+    start = time.perf_counter()
+    code, out, _ = run_cli(["search", "-", "--t", "1"], stdin_text="p 1000000000 1\ne 1 2\n")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert out.splitlines()[0] == (
+        "search t=1 on 1000000000 vertices, 1 edges: found (nodes=1)"
+    )
+    assert elapsed < 1.0
+
+
 def test_missing_file_is_usage_error():
     code, _, err = run_cli(["verify", "/nonexistent/file"])
     assert code == 2

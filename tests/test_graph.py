@@ -36,6 +36,12 @@ def test_degree_single_edge():
     assert g.degree(2) == 1
 
 
+def test_degree_of_isolated_vertex_is_zero():
+    g = Graph(4, frozenset({(1, 2)}))
+    assert g.degree(3) == g.degree(4) == 0
+    assert g.max_degree == 1
+
+
 def test_degree_rejects_out_of_range_vertex():
     g = complete_graph(3)
     with pytest.raises(ValueError):

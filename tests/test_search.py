@@ -1,9 +1,12 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_labeled_graphs, brute_force_exists, canonical_graphs_upto
 from intervalcoloring import (
+    Graph,
     SearchConfig,
     SearchStatus,
     complete_graph,
@@ -84,15 +87,52 @@ def test_found_at_budget_boundary_still_found():
     assert out.nodes_explored == 1
 
 
-# "lex" is the one branching order: the search walks g.sorted_edges.
-@pytest.mark.parametrize("order", ["lex"])
-def test_decisions_agree_across_edge_orders(order):
+# The search walks g.sorted_edges, so witnesses list edges in that order.
+def test_decisions_agree_across_edge_orders():
     for g in canonical_graphs_upto(4):
         for t in range(1, 6):
             out = decide(g, t)
             assert (out.status is SearchStatus.FOUND) == brute_force_exists(g, t)
             if out.found:
-                assert list(out.coloring.assignment) == sorted(g.edges), order
+                assert list(out.coloring.assignment) == sorted(g.edges), g
+
+
+# Node counts are evidence for the K_m brackets: a change to the search's
+# state or prunes must leave every one of them as it is.
+@pytest.mark.parametrize(
+    "m, t, budget, status, nodes",
+    [
+        (4, 4, 0, SearchStatus.FOUND, 6),
+        (5, 7, 0, SearchStatus.EXHAUSTED_NO_SOLUTION, 1202),
+        (6, 7, 0, SearchStatus.FOUND, 35),
+        (6, 8, 0, SearchStatus.EXHAUSTED_NO_SOLUTION, 56350),
+        (8, 11, 0, SearchStatus.FOUND, 522),
+        (7, 10, 50_000, SearchStatus.BUDGET_EXCEEDED, 50_000),
+        (8, 12, 50_000, SearchStatus.BUDGET_EXCEEDED, 50_000),
+    ],
+)
+def test_node_counts_are_pinned(m, t, budget, status, nodes):
+    out = find_interval_coloring(complete_graph(m), SearchConfig(t, budget))
+    assert (out.status, out.nodes_explored) == (status, nodes)
+
+
+def test_node_total_over_small_graphs_is_pinned():
+    pairs = [(g, t) for g in canonical_graphs_upto(5) for t in range(1, 7)]
+    assert len(pairs) == 312
+    assert sum(decide(g, t).nodes_explored for g, t in pairs) == 5674
+
+
+def test_search_work_is_not_sized_by_the_header():
+    g = Graph(10**6, frozenset({(1, 2)}))
+    tracemalloc.start()
+    try:
+        assert g.max_degree == 1
+        out = find_interval_coloring(g, SearchConfig(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (out.status, out.nodes_explored) == (SearchStatus.FOUND, 1)
+    assert peak < 1 << 20
 
 
 def test_pruning_sound_on_all_small_graphs():
