@@ -137,7 +137,7 @@ def palette(g: Graph, coloring: EdgeColoring, x: int) -> VertexPalette:
     g._check_vertex(x)
     assignment = coloring.assignment
     colors = set()
-    for y in g.adjacency[x]:
+    for y in g.adjacency.get(x, frozenset()):
         e = (x, y) if x < y else (y, x)
         c = assignment.get(e)
         if c is None:

@@ -53,13 +53,13 @@ class Graph:
         return Counter(x for e in self.edges for x in e)
 
     @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        """Neighbor sets indexed by vertex id; index 0 is unused."""
-        neighbors: list[set[int]] = [set() for _ in range(self.vertex_count + 1)]
+    def adjacency(self) -> dict[int, frozenset[int]]:
+        """Neighbor sets of the vertices that have an edge; isolated vertices are absent."""
+        neighbors: dict[int, set[int]] = {}
         for i, j in self.edges:
-            neighbors[i].add(j)
-            neighbors[j].add(i)
-        return tuple(frozenset(s) for s in neighbors)
+            neighbors.setdefault(i, set()).add(j)
+            neighbors.setdefault(j, set()).add(i)
+        return {x: frozenset(s) for x, s in neighbors.items()}
 
     def _check_vertex(self, x: int) -> None:
         if not 1 <= x <= self.vertex_count:
@@ -81,7 +81,7 @@ class Graph:
     def incident_edges(self, x: int) -> list[Edge]:
         self._check_vertex(x)
         return sorted(
-            (min(x, y), max(x, y)) for y in self.adjacency[x]
+            (min(x, y), max(x, y)) for y in self.adjacency.get(x, frozenset())
         )
 
 

@@ -1,9 +1,13 @@
-"""Exact backtracking search for interval edge colorings.
+"""Exact search for interval edge colorings: two engines.
 
-`find_interval_coloring` decides, for a fixed span t, whether a graph
-admits an interval t-coloring.  Edges are colored one at a time in
-lexicographic (i, j) order; every prune is a necessary condition, so an
-exhausted search is a proof of nonexistence:
+Every prune in both engines is a necessary condition, so an exhausted
+search is a proof of nonexistence; a budget stop proves nothing.
+
+`find_interval_coloring` (CLI `search --t`) is the edge search, the
+reference oracle whose node counts are pinned.  It decides, for a fixed
+span t, whether a graph admits an interval t-coloring.  Edges are
+colored one at a time in lexicographic (i, j) order; a node is one edge
+placement.  Prunes:
 
 * properness  -- a color may not repeat at a vertex;
 * gap filling -- a vertex's palette is deg consecutive colors that
@@ -21,14 +25,35 @@ Per-vertex state is one bitmask of placed colors (its highest and
 lowest set bits are the max and min) plus the degree, kept only for
 the vertices that have an edge.
 
-`compute_max_span` probes spans downward from `span_cap` (the refined
-and general upper bounds) to find the largest feasible one.
+`compute_max_span` (CLI `search --max`) probes spans downward from
+`span_cap` (the refined and general upper bounds) and runs every probe
+on the palette-start engine, prepared once per sweep.  Vertex v's
+palette is [a_v, e_v] with e_v = a_v + deg(v) - 1, so color c is a
+perfect matching on S_c = {v : a_v <= c <= e_v}.  Phase A picks the
+starts a_v one color at a time; phase B then colors the edges one color
+at a time.  A node is one start decision (the set of vertices that
+start at one color) or one edge placement, and costs more than an edge
+search node.  Prunes:
+
+* matching -- every S_c is non-empty and even, and G[S_c] has a
+  perfect matching (memoized by vertex set for the sweep);
+* start deadlines -- an unstarted vertex must start by t - deg + 1 and
+  by the end of every started neighbor's palette;
+* earliest deadline first -- edge vw takes a color in
+  [max(a_v, a_w), min(e_v, e_w)], distinct at each vertex: checked in
+  full for each vertex that starts and, in phase B, for each vertex of
+  S_c after color c; other started vertices get a count check;
+* twins -- u, w with N(u) - {w} == N(w) - {u} are interchangeable, so
+  within a twin class the lower-numbered vertices start first, and
+  phase B skips partner w while a lower twin of w with the same start
+  has no colored edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import product
 
 from .bounds import _GENERAL, _REFINED, _graph_invariants
 from .coloring import EdgeColoring
@@ -100,7 +125,7 @@ def find_interval_coloring(g: Graph, cfg: SearchConfig) -> SearchOutcome:
     budget = cfg.node_budget
     used = [0] * len(deg)  # per-vertex bitmask of incident colors
     use_cnt = [0] * (t + 1)
-    unused = t
+    fresh = (1 << t + 1) - 2  # bitmask of colors on no edge yet
 
     placed = [0] * num_edges
     nodes = 0
@@ -123,18 +148,13 @@ def find_interval_coloring(g: Graph, cfg: SearchConfig) -> SearchOutcome:
             lo = max(lo, used_v.bit_length() - deg[v])
             hi = min(hi, (used_v & -used_v).bit_length() + deg[v] - 2)
 
-        edges_left = num_edges - depth
-        used_uv = used_u | used_v
-        chosen = 0
-        for c in range(lo, hi + 1):
-            if used_uv >> c & 1:
-                continue
-            if unused + (use_cnt[c] > 0) > edges_left:
-                continue
-            chosen = c
-            break
-
-        if chosen:
+        # Colors lo..hi free at both ends; when the unused colors match the
+        # edges left, each remaining edge must take a color not yet placed.
+        cand = ((1 << hi + 1) - 1) >> lo << lo & ~(used_u | used_v)
+        if fresh.bit_count() == num_edges - depth:
+            cand &= fresh
+        if cand:
+            chosen = (cand & -cand).bit_length() - 1
             if budget and nodes == budget:
                 return SearchOutcome(SearchStatus.BUDGET_EXCEEDED, None, nodes)
             nodes += 1
@@ -143,7 +163,7 @@ def find_interval_coloring(g: Graph, cfg: SearchConfig) -> SearchOutcome:
             used[u] = used_u | bit
             used[v] = used_v | bit
             if use_cnt[chosen] == 0:
-                unused -= 1
+                fresh ^= bit
             use_cnt[chosen] += 1
             depth += 1
             if depth == num_edges:
@@ -161,8 +181,287 @@ def find_interval_coloring(g: Graph, cfg: SearchConfig) -> SearchOutcome:
             used[v] ^= bit
             use_cnt[c] -= 1
             if use_cnt[c] == 0:
-                unused += 1
+                fresh |= bit
             start_color = c + 1
+
+
+def _lower_twins(nbr: list[int]) -> list[int]:
+    """Mask of each vertex's lower-numbered twins.
+
+    u and w are twins when N(u) - {w} == N(w) - {u}: equal open
+    neighborhoods (not adjacent) or equal closed ones (adjacent).
+    Swapping two twins is an automorphism of the graph.
+    """
+    by_open: dict[int, int] = {}
+    by_closed: dict[int, int] = {}
+    lower = []
+    for w, n in enumerate(nbr):
+        bit = 1 << w
+        lower.append(by_open.get(n, 0) | by_closed.get(n | bit, 0))
+        by_open[n] = by_open.get(n, 0) | bit
+        by_closed[n | bit] = by_closed.get(n | bit, 0) | bit
+    return lower
+
+
+def _fits(lo: int, hi: int, windows: list[tuple[int, int]]) -> bool:
+    """Can each (deadline, release) window take its own color in lo..hi?
+
+    Windows in deadline order each take the lowest free color at or after
+    their release (earliest deadline first); that greedy succeeds whenever
+    any assignment does.  Callers leave out windows that cover all of
+    lo..hi: with one window per color, those take whatever is left.
+    """
+    free = (1 << hi + 1) - (1 << lo)
+    for deadline, release in sorted(windows):
+        low = free >> release << release
+        low &= -low
+        if not low or low >> deadline > 1:
+            return False
+        free ^= low
+    return True
+
+
+class _PaletteSweep:
+    """The palette-start engine, prepared once for every probe of a sweep.
+
+    Vertices that have an edge are relabelled 0..k-1 in ascending order;
+    neighbor and vertex sets are bitmasks.
+    """
+
+    def __init__(self, g: Graph) -> None:
+        self.edges = g.sorted_edges
+        self.labels = sorted({x for e in self.edges for x in e})
+        index = {x: k for k, x in enumerate(self.labels)}
+        adj: list[list[int]] = [[] for _ in self.labels]
+        for i, j in self.edges:
+            adj[index[i]].append(index[j])  # ascending, as the edges are sorted
+            adj[index[j]].append(index[i])
+        self.adj = adj
+        self.deg = [len(a) for a in adj]
+        self.nbr = [sum(1 << w for w in a) for a in adj]
+        self.lower = _lower_twins(self.nbr)
+        self.matchable_memo = {0: True}
+
+    def matchable(self, s: int) -> bool:
+        """Whether G[S] has a perfect matching, for a vertex mask S."""
+        memo = self.matchable_memo
+        known = memo.get(s)
+        if known is not None:
+            return known
+        nbr = self.nbr
+        # Depth first over the partners of each mask's lowest vertex, on a
+        # stack of [mask, partners left to try].
+        stack = [[s, nbr[(s & -s).bit_length() - 1] & s]]
+        while stack:
+            frame = stack[-1]
+            mask, partners = frame
+            if not partners:
+                memo[mask] = False
+                stack.pop()
+                continue
+            w = partners & -partners
+            frame[1] = partners ^ w
+            rest = mask ^ (mask & -mask) ^ w
+            known = memo.get(rest)
+            if known:
+                for m, _ in stack:
+                    memo[m] = True
+                return True
+            if known is None:
+                stack.append([rest, nbr[(rest & -rest).bit_length() - 1] & rest])
+        return False
+
+    def probe(self, t: int, budget: int) -> SearchOutcome:
+        """Decide span t; a node is one start decision or one edge placement."""
+        deg, adj = self.deg, self.adj
+        if t < max(deg) or len(self.edges) < t:
+            return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, None, 0)
+        k = len(deg)
+        nodes = 0
+        # start[v] == 0 means not started yet.  lim[w] is the last color an
+        # unstarted w may start at: its palette must end by t and reach
+        # the end of every started neighbor's palette.
+        levels = [self._level(1, [0] * k, [t - d + 1 for d in deg], (1 << k) - 1)]
+        while levels:
+            c, start, lim, left, base, choices = levels[-1]
+            x = next(choices, None)
+            if x is None:
+                levels.pop()
+                continue
+            s = base | x
+            if not s:
+                continue
+            if budget and nodes == budget:
+                return SearchOutcome(SearchStatus.BUDGET_EXCEEDED, None, nodes)
+            nodes += 1
+            if not self.matchable(s):
+                continue
+            new = s & left
+            if new:
+                left ^= new
+                start = start.copy()
+                lim = lim.copy()
+                for v in range(k):
+                    if new >> v & 1:
+                        start[v] = c
+                        end = c + deg[v] - 1
+                        for w in adj[v]:
+                            if lim[w] > end:
+                                lim[w] = end
+            if not self._starts_fit(c, start, lim, left):
+                continue
+            if left:
+                levels.append(self._level(c + 1, start, lim, left))
+                continue
+            outcome = self._color_edges(t, start, budget, nodes)
+            if outcome.status is not SearchStatus.EXHAUSTED_NO_SOLUTION:
+                return outcome
+            nodes = outcome.nodes_explored
+        return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, None, nodes)
+
+    def _level(self, c: int, start: list[int], lim: list[int], left: int) -> tuple:
+        """Phase A at color c: the state plus the start sets to try.
+
+        Every vertex in S_c that is started stays, and an unstarted w
+        with lim[w] == c must start.  Each other unstarted vertex may
+        start; those that do form a prefix of their twin class, and the
+        parity of |S_c| fixes the last class's choice.
+        """
+        deg, lower = self.deg, self.lower
+        base = 0
+        classes: dict[int, list[int]] = {}
+        for v, a in enumerate(start):
+            if left >> v & 1:
+                if lim[v] == c:
+                    base |= 1 << v
+                else:
+                    twins = lower[v] & left
+                    p = classes.setdefault((twins & -twins) or 1 << v, [0])
+                    p.append(p[-1] | 1 << v)
+            elif a + deg[v] > c:
+                base |= 1 << v
+        prefixes = list(classes.values())
+        parity = base.bit_count() & 1
+        choices = (  # the classes are disjoint, so the sum is the union
+            sum(p[j] for p, j in zip(prefixes, counts))
+            for counts in product(*(range(len(p)) for p in prefixes))
+            if (sum(counts) ^ parity) & 1 == 0
+        )
+        return c, start, lim, left, base, choices
+
+    def _starts_fit(self, c: int, start: list[int], lim: list[int], left: int) -> bool:
+        """Whether every started vertex can still fit its edges in its palette.
+
+        A vertex that starts at c gets the full earliest-deadline-first
+        check: edge vw may take colors [max(a_v, a_w), min(e_v, e_w)],
+        where an unstarted w has a_w > c and e_w <= lim[w] + deg(w) - 1.
+        Any other started vertex only needs room above c for its edges to
+        unstarted neighbors.
+        """
+        deg, adj, nbr = self.deg, self.adj, self.nbr
+        for v, a in enumerate(start):
+            if not a:
+                continue
+            e = a + deg[v] - 1
+            if a == c:
+                windows = []
+                for w in adj[v]:
+                    if left >> w & 1:
+                        d = lim[w] + deg[w] - 1
+                        windows.append((d if d < e else e, c + 1))
+                    else:
+                        d = start[w] + deg[w] - 1
+                        if d < e:
+                            windows.append((d, c))
+                if windows and not _fits(c, e, windows):
+                    return False
+            elif e > c and (nbr[v] & left).bit_count() > e - c:
+                return False
+        return True
+
+    def _color_edges(self, t: int, start: list[int], budget: int, nodes: int) -> SearchOutcome:
+        """Phase B: with every start fixed, match each S_c over uncolored edges."""
+        deg, lower = self.deg, self.lower
+        k = len(deg)
+        end = [a + d - 1 for a, d in zip(start, deg)]
+        colors = [0] * (t + 1)
+        for v in range(k):
+            for c in range(start[v], end[v] + 1):
+                colors[c] |= 1 << v
+        for s in colors[1:]:
+            if not s or s.bit_count() & 1 or not self.matchable(s):
+                return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, None, nodes)
+        # Partner w is skipped while a lower twin u with the same start has
+        # no colored edge: swapping u and w maps one subtree onto the other.
+        peers = [0] * k
+        for w, twins in enumerate(lower):
+            for u in range(w):
+                if twins >> u & 1 and start[u] == start[w]:
+                    peers[w] |= 1 << u
+        unused = self.nbr.copy()  # neighbors over uncolored edges
+        fresh = (1 << k) - 1  # vertices with no colored edge
+
+        def frame(c: int, rem: int, fresh: int) -> list:
+            # [color, vertices left to match, v, partners left, w placed, fresh]
+            v = (rem & -rem).bit_length() - 1
+            partners = unused[v] & rem
+            others = fresh & ~(1 << v)
+            for w in range(v + 1, k):
+                if partners >> w & 1 and peers[w] & others:
+                    partners ^= 1 << w
+            return [c, rem, v, partners, -1, fresh]
+
+        frames = [frame(1, colors[1], fresh)]
+        while frames:
+            f = frames[-1]
+            c, rem, v, partners, w, fresh = f
+            if w >= 0:
+                unused[v] |= 1 << w
+                unused[w] |= 1 << v
+            if not partners:
+                frames.pop()
+                continue
+            bit = partners & -partners
+            f[3] = partners ^ bit
+            if budget and nodes == budget:
+                return SearchOutcome(SearchStatus.BUDGET_EXCEEDED, None, nodes)
+            nodes += 1
+            w = f[4] = bit.bit_length() - 1
+            unused[v] ^= bit
+            unused[w] ^= 1 << v
+            fresh &= ~(bit | 1 << v)
+            rem ^= bit | 1 << v
+            if rem:
+                frames.append(frame(c, rem, fresh))
+            elif self._edges_fit(c, colors[c], start, end, unused):
+                if c == t:
+                    labels = self.labels
+                    placed = {(labels[fr[2]], labels[fr[4]]): fr[0] for fr in frames}
+                    witness = EdgeColoring({e: placed[e] for e in self.edges}, span_t=t)
+                    return SearchOutcome(SearchStatus.FOUND, witness, nodes)
+                frames.append(frame(c + 1, colors[c + 1], fresh))
+        return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, None, nodes)
+
+    def _edges_fit(self, c: int, s: int, start: list[int], end: list[int], unused: list[int]) -> bool:
+        """After color c, can each vertex of S_c still place its uncolored edges?
+
+        Only S_c changed.  Edge vw may take colors
+        [max(a_v, a_w, c + 1), min(e_v, e_w)].
+        """
+        adj = self.adj
+        for v, e in enumerate(end):
+            u = unused[v]
+            if s >> v & 1 and u:
+                windows = []
+                for w in adj[v]:
+                    if u >> w & 1:
+                        r = start[w] if start[w] > c else c + 1
+                        d = end[w]
+                        if r > c + 1 or d < e:
+                            windows.append((d if d < e else e, r))
+                if windows and not _fits(c + 1, e, windows):
+                    return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -202,8 +501,8 @@ def compute_max_span(
     """Largest t <= t_cap for which g has an interval t-coloring.
 
     Spans are probed downward from the tightened cap to the maximum
-    degree (smaller spans cannot be proper).  Each probe gets
-    node_budget nodes.
+    degree (smaller spans cannot be proper) on the palette-start engine.
+    Each probe gets node_budget nodes.
     """
     if t_cap < 1:
         raise ValueError(f"t_cap must be >= 1, got {t_cap}")
@@ -212,8 +511,9 @@ def compute_max_span(
         return MaxSpanResult(0, True, None, ())
     probes: list[ProbeRecord] = []
     budget_gap = False
+    sweep = _PaletteSweep(g)
     for t in range(span_cap(g, t_cap), g.max_degree - 1, -1):
-        outcome = find_interval_coloring(g, SearchConfig(t, node_budget))
+        outcome = sweep.probe(t, node_budget)
         probes.append(ProbeRecord(t, outcome.status, outcome.nodes_explored))
         if outcome.status is SearchStatus.FOUND:
             return MaxSpanResult(t, not budget_gap, outcome.coloring, tuple(probes))

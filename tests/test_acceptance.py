@@ -3,6 +3,8 @@ PASS line (run with `pytest tests/test_acceptance.py -v -s`).
 
 Everything here is exact; there are no tolerances to tune.  The K_6
 span-8 probe is reported however the search resolves it, never presumed.
+A maximum span is claimed only when every span above it is exhausted,
+and each exhaustion is re-derived by a second engine or an ablated one.
 """
 
 import random
@@ -10,6 +12,7 @@ from itertools import combinations
 
 from intervalcoloring import (
     EdgeColoring,
+    ProbeRecord,
     SearchConfig,
     SearchStatus,
     ViolationKind,
@@ -27,6 +30,7 @@ from intervalcoloring import (
     round_robin,
     verify_interval,
 )
+from intervalcoloring import search
 
 
 def _report(name: str) -> None:
@@ -152,3 +156,28 @@ def test_criterion_8_io_round_trip_for_all_n_up_to_32():
         assert parsed == c, n
         assert emit_coloring(g, parsed) == text, n
     _report("io: parse(emit(c)) round-trips byte-exactly for n=1..32")
+
+
+def test_criterion_9_max_span_of_k6_and_k8_settled(monkeypatch):
+    # [3n-2, 2|V|-4] brackets W(K_6) in [7, 8]; Petrosyan's doubling bound
+    # 4n-2-p-q (n = p * 2^q, p odd) brackets W(K_8) in [11, 12].
+    for m, span in ((6, 7), (8, 11)):
+        g = complete_graph(m)
+        result = compute_max_span(g, refined_upper_bound(g))
+        assert (result.max_span, result.complete) == (span, True), m
+        assert [(p.t, p.status) for p in result.probes] == [
+            (span + 1, SearchStatus.EXHAUSTED_NO_SOLUTION),
+            (span, SearchStatus.FOUND),
+        ]
+        assert verify_interval(g, result.witness).verdict, m
+    # Re-derivations of the two exhausted probes: the edge search exhausts
+    # K_6 t=8 in 56,350 nodes (criterion 5, and pinned in test_search.py);
+    # the sweep with its twin rule off exhausts K_8 t=12 on its own.
+    monkeypatch.setattr(search, "_lower_twins", lambda nbr: [0] * len(nbr))
+    ablated = compute_max_span(complete_graph(8), 12)
+    assert ablated.probes[0] == ProbeRecord(12, SearchStatus.EXHAUSTED_NO_SOLUTION, 39075)
+    assert (ablated.max_span, ablated.complete) == (11, True)
+    _report(
+        "max span: W(K_6) = 7 and W(K_8) = 11, complete; K_8 t=12 re-derived "
+        "without the twin rule in 39075 nodes"
+    )

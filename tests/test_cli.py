@@ -231,12 +231,15 @@ def test_search_max_with_cap(tmp_path):
 
 
 def test_search_max_reports_budget_gap_honestly(tmp_path):
-    gpath = tmp_path / "k6.graph"
-    gpath.write_text(emit_graph(complete_graph(6)))
-    code, out, _ = run_cli(["search", str(gpath), "--max", "--budget", "50"])
+    # The sweep exhausts K_10 at t=16 and t=15 in 281 and 239 nodes, so at
+    # budget 200 both stop on the budget above the span-14 witness.
+    gpath = tmp_path / "k10.graph"
+    gpath.write_text(emit_graph(complete_graph(10)))
+    code, out, _ = run_cli(["search", str(gpath), "--max", "--budget", "200"])
     assert code == 0
-    assert "probe t=8: budget-exceeded" in out
-    assert "max span: 7 (incomplete: budget gap above)" in out
+    assert "probe t=16: budget-exceeded (nodes=200)" in out
+    assert "probe t=15: budget-exceeded (nodes=200)" in out
+    assert "max span: 14 (incomplete: budget gap above)" in out
 
 
 def test_search_budget_flag(tmp_path):

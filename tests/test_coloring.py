@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 
@@ -54,6 +56,19 @@ def test_palette_star_center():
     star = graph_from_edges(4, [(1, 2), (1, 3), (1, 4)])
     c = EdgeColoring({(1, 2): 1, (1, 3): 2, (1, 4): 3}, span_t=3)
     assert palette(star, c, 1).colors == (1, 2, 3)
+
+
+def test_palette_work_is_not_sized_by_the_header():
+    g = Graph(10**6, frozenset({(1, 2)}))
+    c = EdgeColoring({(1, 2): 1}, span_t=1)
+    tracemalloc.start()
+    try:
+        assert palette(g, c, 1).colors == (1,)
+        assert palette(g, c, 3).colors == ()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_palette_reports_uncolored_edge():

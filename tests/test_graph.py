@@ -102,3 +102,6 @@ def test_incident_edges_and_adjacency():
     assert g.incident_edges(1) == [(1, 2), (1, 3)]
     assert g.adjacency[2] == frozenset({1, 4})
     assert g.max_degree == 2
+    isolated = graph_from_edges(5, [(1, 2)])
+    assert set(isolated.adjacency) == {1, 2}
+    assert isolated.incident_edges(5) == []

@@ -1,4 +1,6 @@
+import random
 import tracemalloc
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from intervalcoloring import (
     span_cap,
     verify_interval,
 )
+from intervalcoloring.search import _PaletteSweep
 
 
 def decide(g, t):
@@ -227,11 +230,15 @@ def test_compute_max_span_respects_cap():
 
 
 def test_compute_max_span_budget_gap_reported():
-    g = complete_graph(6)
-    result = compute_max_span(g, 8, node_budget=50)
-    assert result.max_span == 7
+    g = complete_graph(10)
+    result = compute_max_span(g, 16, node_budget=200)
+    assert result.max_span == 14
     assert not result.complete
-    assert result.probes[0].status is SearchStatus.BUDGET_EXCEEDED
+    assert [(p.t, p.status) for p in result.probes[:2]] == [
+        (16, SearchStatus.BUDGET_EXCEEDED),
+        (15, SearchStatus.BUDGET_EXCEEDED),
+    ]
+    assert verify_interval(g, result.witness).verdict
 
 
 def test_compute_max_span_no_feasible_span_within_cap():
@@ -247,3 +254,110 @@ def test_max_span_of_path_is_vertex_bound():
     result = compute_max_span(path, 10)
     assert result.complete
     assert result.max_span == 3  # hits the triangle-free |V|-1 bound
+
+
+# The --max sweep runs every probe on the palette-start engine; the tests
+# below cross-check it against the brute force and the edge search.
+
+
+def test_sweep_engine_agrees_with_brute_force():
+    for g in canonical_graphs_upto(5):
+        if not g.edges:
+            continue
+        sweep = _PaletteSweep(g)
+        for t in range(1, 7):
+            out = sweep.probe(t, 0)
+            assert (out.status is SearchStatus.FOUND) == brute_force_exists(g, t), (g, t)
+            if out.found:
+                assert out.coloring.span_t == t
+                assert verify_interval(g, out.coloring).verdict, (g, t)
+
+
+def _assert_engines_agree(g, ts, budget):
+    sweep = _PaletteSweep(g)
+    for t in ts:
+        out = sweep.probe(t, budget)
+        edge = find_interval_coloring(g, SearchConfig(t, budget))
+        if SearchStatus.BUDGET_EXCEEDED not in (out.status, edge.status):
+            assert out.status is edge.status, (g, t)
+        if out.found:
+            assert verify_interval(g, out.coloring).verdict, (g, t)
+        if out.status is SearchStatus.BUDGET_EXCEEDED:
+            assert (out.nodes_explored, out.coloring) == (budget, None)
+
+
+def test_sweep_engine_agrees_with_edge_search_on_labeled_5_vertex_graphs():
+    for g in all_labeled_graphs(5):
+        if g.edges:
+            _assert_engines_agree(g, range(1, 8), 0)
+
+
+def test_sweep_engine_agrees_with_edge_search_on_random_graphs():
+    rng = random.Random(20261018)
+    for _ in range(24):
+        v = rng.randint(6, 8)
+        pairs = list(combinations(range(1, v + 1), 2))
+        g = graph_from_edges(v, rng.sample(pairs, rng.randint(1, len(pairs))))
+        _assert_engines_agree(g, range(1, 2 * v - 3), 20_000)
+
+
+# Sweep node counts, like the edge search's, are evidence for the K_m
+# answers: a change to the engine's prunes must leave them as they are.
+@pytest.mark.parametrize(
+    "m, probes",
+    [
+        (4, [(4, SearchStatus.FOUND, 8)]),
+        (5, [(6, SearchStatus.EXHAUSTED_NO_SOLUTION, 5),
+             (5, SearchStatus.EXHAUSTED_NO_SOLUTION, 2),
+             (4, SearchStatus.EXHAUSTED_NO_SOLUTION, 0)]),
+        (6, [(8, SearchStatus.EXHAUSTED_NO_SOLUTION, 14), (7, SearchStatus.FOUND, 23)]),
+        (7, [(10, SearchStatus.EXHAUSTED_NO_SOLUTION, 25),
+             (9, SearchStatus.EXHAUSTED_NO_SOLUTION, 16),
+             (8, SearchStatus.EXHAUSTED_NO_SOLUTION, 9),
+             (7, SearchStatus.EXHAUSTED_NO_SOLUTION, 3),
+             (6, SearchStatus.EXHAUSTED_NO_SOLUTION, 0)]),
+        (8, [(12, SearchStatus.EXHAUSTED_NO_SOLUTION, 62), (11, SearchStatus.FOUND, 35)]),
+    ],
+)
+def test_sweep_node_counts_are_pinned(m, probes):
+    result = compute_max_span(complete_graph(m), 2 * m)
+    assert [(p.t, p.status, p.nodes_explored) for p in result.probes] == probes
+    assert result.complete
+
+
+def test_sweep_node_total_over_small_graphs_is_pinned():
+    graphs = canonical_graphs_upto(5)
+    results = [compute_max_span(g, 2 * g.vertex_count) for g in graphs]
+    assert all(r.complete for r in results)
+    assert sum(len(r.probes) for r in results) == 147
+    assert sum(p.nodes_explored for r in results for p in r.probes) == 1103
+
+
+def test_sweep_work_is_not_sized_by_the_header():
+    g = Graph(10**6, frozenset({(1, 2)}))
+    tracemalloc.start()
+    try:
+        result = compute_max_span(g, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (result.max_span, result.complete) == (1, True)
+    assert peak < 1 << 20
+
+
+def test_sweep_on_a_large_complete_graph_stops_on_the_budget():
+    g = complete_graph(46)  # 1,035 edges
+    result = compute_max_span(g, 45, node_budget=2_000)
+    assert [(p.t, p.status, p.nodes_explored) for p in result.probes] == [
+        (45, SearchStatus.BUDGET_EXCEEDED, 2_000)
+    ]
+    assert not result.complete
+
+
+def test_sweep_depth_does_not_grow_the_call_stack():
+    # Both phases go 1,100 levels deep, past the default recursion limit.
+    n = 1101
+    path = graph_from_edges(n, [(i, i + 1) for i in range(1, n)])
+    result = compute_max_span(path, n - 1)
+    assert (result.max_span, result.complete) == (n - 1, True)
+    assert verify_interval(path, result.witness).verdict
