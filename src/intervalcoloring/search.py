@@ -33,10 +33,15 @@ perfect matching on S_c = {v : a_v <= c <= e_v}.  Phase A picks the
 starts a_v one color at a time; phase B then colors the edges one color
 at a time.  A node is one start decision (the set of vertices that
 start at one color) or one edge placement, and costs more than an edge
-search node.  Prunes:
+search node.  A node's work is bounded by S_c, the unstarted neighbors
+of started vertices and the twin classes its start set reaches, not by
+every vertex (apart from two list copies when vertices start);
+entering phase B costs O(|E|) plus one matching test per color.
+Prunes:
 
 * matching -- every S_c is non-empty and even, and G[S_c] has a
-  perfect matching (memoized by vertex set for the sweep);
+  perfect matching (Edmonds' blossom algorithm, O(|S_c|^3), memoized by
+  vertex set for the sweep);
 * start deadlines -- an unstarted vertex must start by t - deg + 1 and
   by the end of every started neighbor's palette;
 * earliest deadline first -- edge vw takes a color in
@@ -53,7 +58,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import product
 
 from .bounds import _GENERAL, _REFINED, _graph_invariants
 from .coloring import EdgeColoring
@@ -221,6 +225,96 @@ def _fits(lo: int, hi: int, windows: list[tuple[int, int]]) -> bool:
     return True
 
 
+def _bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _perfect_matching(adj: list[list[int]]) -> bool:
+    """Whether the graph on 0..n-1 with adjacency lists adj has a perfect matching.
+
+    Edmonds' blossom algorithm, O(n^3): a greedy matching, then one
+    augmenting-path search from each vertex it leaves unmatched.  When a
+    vertex has no augmenting path the answer is no, since a perfect
+    matching's symmetric difference with the current one would hold one.
+    """
+    match = [-1] * len(adj)
+    for v, nbrs in enumerate(adj):
+        if match[v] < 0:
+            for w in nbrs:
+                if match[w] < 0:
+                    match[v], match[w] = w, v
+                    break
+    return all(match[r] >= 0 or _augment(adj, match, r) for r in range(len(adj)))
+
+
+def _augment(adj: list[list[int]], match: list[int], root: int) -> bool:
+    """Grow an alternating tree from unmatched root; flip the first augmenting path.
+
+    Odd cycles (blossoms) are contracted by pointing every vertex of one
+    at a common base.  Outer vertices are those at even distance from
+    root, counting through contracted blossoms.
+    """
+    n = len(adj)
+    base = list(range(n))
+    parent = [-1] * n
+    outer = [False] * n
+    outer[root] = True
+    queue = [root]
+
+    def common_base(a: int, b: int) -> int:
+        seen = [False] * n
+        while True:
+            a = base[a]
+            seen[a] = True
+            if match[a] < 0:
+                break
+            a = parent[match[a]]
+        while True:
+            b = base[b]
+            if seen[b]:
+                return b
+            b = parent[match[b]]
+
+    def mark(v: int, b: int, child: int, blossom: list[bool]) -> None:
+        while base[v] != b:
+            blossom[base[v]] = blossom[base[match[v]]] = True
+            parent[v] = child
+            child = match[v]
+            v = parent[child]
+
+    for v in queue:  # grows while it is read
+        for w in adj[v]:
+            if base[v] == base[w] or match[v] == w:
+                continue
+            if w == root or match[w] >= 0 and parent[match[w]] >= 0:
+                b = common_base(v, w)
+                blossom = [False] * n
+                mark(v, b, w, blossom)
+                mark(w, b, v, blossom)
+                for x in range(n):
+                    if blossom[base[x]]:
+                        base[x] = b
+                        if not outer[x]:
+                            outer[x] = True
+                            queue.append(x)
+            elif parent[w] < 0:
+                parent[w] = v
+                if match[w] < 0:
+                    while w >= 0:  # flip the path back to root
+                        v = parent[w]
+                        after = match[v]
+                        match[w], match[v] = v, w
+                        w = after
+                    return True
+                outer[match[w]] = True
+                queue.append(match[w])
+    return False
+
+
 class _PaletteSweep:
     """The palette-start engine, prepared once for every probe of a sweep.
 
@@ -240,50 +334,36 @@ class _PaletteSweep:
         self.deg = [len(a) for a in adj]
         self.nbr = [sum(1 << w for w in a) for a in adj]
         self.lower = _lower_twins(self.nbr)
-        self.matchable_memo = {0: True}
+        self.by_degree: dict[int, int] = {}  # degree -> vertices of that degree
+        for v, d in enumerate(self.deg):
+            self.by_degree[d] = self.by_degree.get(d, 0) | 1 << v
+        self.matchable_memo: dict[int, bool] = {}
 
     def matchable(self, s: int) -> bool:
         """Whether G[S] has a perfect matching, for a vertex mask S."""
-        memo = self.matchable_memo
-        known = memo.get(s)
-        if known is not None:
-            return known
-        nbr = self.nbr
-        # Depth first over the partners of each mask's lowest vertex, on a
-        # stack of [mask, partners left to try].
-        stack = [[s, nbr[(s & -s).bit_length() - 1] & s]]
-        while stack:
-            frame = stack[-1]
-            mask, partners = frame
-            if not partners:
-                memo[mask] = False
-                stack.pop()
-                continue
-            w = partners & -partners
-            frame[1] = partners ^ w
-            rest = mask ^ (mask & -mask) ^ w
-            known = memo.get(rest)
-            if known:
-                for m, _ in stack:
-                    memo[m] = True
-                return True
-            if known is None:
-                stack.append([rest, nbr[(rest & -rest).bit_length() - 1] & rest])
-        return False
+        known = self.matchable_memo.get(s)
+        if known is None:
+            verts = list(_bits(s))
+            index = {v: i for i, v in enumerate(verts)}
+            adj = [[index[w] for w in self.adj[v] if s >> w & 1] for v in verts]
+            known = self.matchable_memo[s] = len(verts) % 2 == 0 and _perfect_matching(adj)
+        return known
 
     def probe(self, t: int, budget: int) -> SearchOutcome:
         """Decide span t; a node is one start decision or one edge placement."""
-        deg, adj = self.deg, self.adj
+        deg, adj, nbr = self.deg, self.adj, self.nbr
         if t < max(deg) or len(self.edges) < t:
             return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, None, 0)
         k = len(deg)
         nodes = 0
         # start[v] == 0 means not started yet.  lim[w] is the last color an
         # unstarted w may start at: its palette must end by t and reach
-        # the end of every started neighbor's palette.
-        levels = [self._level(1, [0] * k, [t - d + 1 for d in deg], (1 << k) - 1)]
+        # the end of every started neighbor's palette.  frontier holds the
+        # unstarted vertices with a started neighbor: any other unstarted
+        # vertex still has lim t - deg + 1.
+        levels = [self._level(t, 1, [0] * k, [t - d + 1 for d in deg], (1 << k) - 1, 0, 0)]
         while levels:
-            c, start, lim, left, base, choices = levels[-1]
+            c, start, lim, left, frontier, base, choices = levels[-1]
             x = next(choices, None)
             if x is None:
                 levels.pop()
@@ -301,17 +381,18 @@ class _PaletteSweep:
                 left ^= new
                 start = start.copy()
                 lim = lim.copy()
-                for v in range(k):
-                    if new >> v & 1:
-                        start[v] = c
-                        end = c + deg[v] - 1
-                        for w in adj[v]:
-                            if lim[w] > end:
-                                lim[w] = end
-            if not self._starts_fit(c, start, lim, left):
+                for v in _bits(new):
+                    start[v] = c
+                    end = c + deg[v] - 1
+                    frontier |= nbr[v]
+                    for w in adj[v]:
+                        if lim[w] > end:
+                            lim[w] = end
+                frontier &= left
+            if not self._starts_fit(c, s, start, lim, left):
                 continue
             if left:
-                levels.append(self._level(c + 1, start, lim, left))
+                levels.append(self._level(t, c + 1, start, lim, left, frontier, s))
                 continue
             outcome = self._color_edges(t, start, budget, nodes)
             if outcome.status is not SearchStatus.EXHAUSTED_NO_SOLUTION:
@@ -319,49 +400,97 @@ class _PaletteSweep:
             nodes = outcome.nodes_explored
         return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, None, nodes)
 
-    def _level(self, c: int, start: list[int], lim: list[int], left: int) -> tuple:
+    def _level(
+        self, t: int, c: int, start: list[int], lim: list[int], left: int, frontier: int, prev: int
+    ) -> tuple:
         """Phase A at color c: the state plus the start sets to try.
 
-        Every vertex in S_c that is started stays, and an unstarted w
-        with lim[w] == c must start.  Each other unstarted vertex may
-        start; those that do form a prefix of their twin class, and the
-        parity of |S_c| fixes the last class's choice.
+        Every vertex of S_{c-1} (prev) whose palette goes on stays, and
+        an unstarted w with lim[w] == c must start.  Each other unstarted
+        vertex may start (see _start_sets).  The work is bounded by prev
+        and the frontier, not by every unstarted vertex.
         """
-        deg, lower = self.deg, self.lower
+        deg = self.deg
         base = 0
-        classes: dict[int, list[int]] = {}
-        for v, a in enumerate(start):
-            if left >> v & 1:
-                if lim[v] == c:
-                    base |= 1 << v
-                else:
-                    twins = lower[v] & left
-                    p = classes.setdefault((twins & -twins) or 1 << v, [0])
-                    p.append(p[-1] | 1 << v)
-            elif a + deg[v] > c:
+        for v in _bits(prev):
+            if start[v] + deg[v] > c:
                 base |= 1 << v
-        prefixes = list(classes.values())
-        parity = base.bit_count() & 1
-        choices = (  # the classes are disjoint, so the sum is the union
-            sum(p[j] for p, j in zip(prefixes, counts))
-            for counts in product(*(range(len(p)) for p in prefixes))
-            if (sum(counts) ^ parity) & 1 == 0
-        )
-        return c, start, lim, left, base, choices
+        forced = self.by_degree.get(t - c + 1, 0) & left & ~frontier
+        for v in _bits(frontier):
+            if lim[v] == c:
+                forced |= 1 << v
+        base |= forced
+        choices = self._start_sets(left & ~forced, left, base.bit_count() & 1)
+        return c, start, lim, left, frontier, base, choices
 
-    def _starts_fit(self, c: int, start: list[int], lim: list[int], left: int) -> bool:
-        """Whether every started vertex can still fit its edges in its palette.
+    def _start_sets(self, optional: int, left: int, parity: int):
+        """The sets of optional starters to try, in order.
+
+        Unstarted twins have the same lim, so each twin class lies wholly
+        inside or outside optional.  Starters form a prefix of each class
+        (its lower-numbered vertices start first), and a set is kept when
+        its size has the given parity, so that |S_c| is even.  The sets
+        come in itertools.product order over the classes, ordered by
+        lowest vertex, with the last class varying fastest.  That counter
+        finds each class, scanning down from the highest vertex, only
+        when it first carries into it, so a node that succeeds early
+        costs no scan of every unstarted vertex.
+        """
+        lower = self.lower
+        prefixes: list[list[int]] = []  # classes found so far, last class first
+        counts: list[int] = []
+        above: dict[int, int] = {}  # a class's lowest vertex bit -> its others seen
+        rest = optional
+        x = size = 0
+        while True:
+            if (size ^ parity) & 1 == 0:
+                yield x
+            i = 0
+            while i < len(counts) and counts[i] == len(prefixes[i]) - 1:
+                x ^= prefixes[i][-1]
+                size -= counts[i]
+                counts[i] = 0
+                i += 1
+            if i == len(counts):
+                members = 0
+                while rest and not members:
+                    v = rest.bit_length() - 1
+                    bit = 1 << v
+                    rest ^= bit
+                    twins = lower[v] & left
+                    if twins:
+                        lowest = twins & -twins
+                        above[lowest] = above.get(lowest, 0) | bit
+                    else:
+                        members = bit | above.pop(bit, 0)
+                if not members:
+                    return
+                prefix = [0]
+                for v in _bits(members):
+                    prefix.append(prefix[-1] | 1 << v)
+                prefixes.append(prefix)
+                counts.append(0)
+            prefix, j = prefixes[i], counts[i]
+            x ^= prefix[j] ^ prefix[j + 1]
+            counts[i] = j + 1
+            size += 1
+
+    def _starts_fit(self, c: int, s: int, start: list[int], lim: list[int], left: int) -> bool:
+        """Whether every vertex of S_c can still fit its edges in its palette.
 
         A vertex that starts at c gets the full earliest-deadline-first
         check: edge vw may take colors [max(a_v, a_w), min(e_v, e_w)],
         where an unstarted w has a_w > c and e_w <= lim[w] + deg(w) - 1.
-        Any other started vertex only needs room above c for its edges to
-        unstarted neighbors.
+        Any other vertex of S_c only needs room above c for its edges to
+        unstarted neighbors.  Started vertices outside S_c have finished
+        their palettes.
         """
         deg, adj, nbr = self.deg, self.adj, self.nbr
-        for v, a in enumerate(start):
-            if not a:
-                continue
+        while s:
+            bit = s & -s
+            s ^= bit
+            v = bit.bit_length() - 1
+            a = start[v]
             e = a + deg[v] - 1
             if a == c:
                 windows = []
@@ -393,11 +522,10 @@ class _PaletteSweep:
                 return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, None, nodes)
         # Partner w is skipped while a lower twin u with the same start has
         # no colored edge: swapping u and w maps one subtree onto the other.
-        peers = [0] * k
-        for w, twins in enumerate(lower):
-            for u in range(w):
-                if twins >> u & 1 and start[u] == start[w]:
-                    peers[w] |= 1 << u
+        starting: dict[int, int] = {}  # start color -> vertices starting there
+        for v, a in enumerate(start):
+            starting[a] = starting.get(a, 0) | 1 << v
+        peers = [twins & starting[a] for twins, a in zip(lower, start)]
         unused = self.nbr.copy()  # neighbors over uncolored edges
         fresh = (1 << k) - 1  # vertices with no colored edge
 
@@ -406,8 +534,8 @@ class _PaletteSweep:
             v = (rem & -rem).bit_length() - 1
             partners = unused[v] & rem
             others = fresh & ~(1 << v)
-            for w in range(v + 1, k):
-                if partners >> w & 1 and peers[w] & others:
+            for w in _bits(partners):
+                if peers[w] & others:
                     partners ^= 1 << w
             return [c, rem, v, partners, -1, fresh]
 
@@ -448,19 +576,16 @@ class _PaletteSweep:
         Only S_c changed.  Edge vw may take colors
         [max(a_v, a_w, c + 1), min(e_v, e_w)].
         """
-        adj = self.adj
-        for v, e in enumerate(end):
-            u = unused[v]
-            if s >> v & 1 and u:
-                windows = []
-                for w in adj[v]:
-                    if u >> w & 1:
-                        r = start[w] if start[w] > c else c + 1
-                        d = end[w]
-                        if r > c + 1 or d < e:
-                            windows.append((d if d < e else e, r))
-                if windows and not _fits(c + 1, e, windows):
-                    return False
+        for v in _bits(s):
+            e = end[v]
+            windows = []
+            for w in _bits(unused[v]):
+                r = start[w] if start[w] > c else c + 1
+                d = end[w]
+                if r > c + 1 or d < e:
+                    windows.append((d if d < e else e, r))
+            if windows and not _fits(c + 1, e, windows):
+                return False
         return True
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -21,7 +22,7 @@ from intervalcoloring import (
     span_cap,
     verify_interval,
 )
-from intervalcoloring.search import _PaletteSweep
+from intervalcoloring.search import _PaletteSweep, _perfect_matching
 
 
 def decide(g, t):
@@ -352,6 +353,56 @@ def test_sweep_on_a_large_complete_graph_stops_on_the_budget():
         (45, SearchStatus.BUDGET_EXCEEDED, 2_000)
     ]
     assert not result.complete
+
+
+def _has_perfect_matching(nbr, mask):
+    if not mask:
+        return True
+    v = (mask & -mask).bit_length() - 1
+    rest = mask ^ 1 << v
+    return any(
+        nbr[v] >> w & 1 and _has_perfect_matching(nbr, rest ^ 1 << w)
+        for w in range(v + 1, len(nbr))
+        if rest >> w & 1
+    )
+
+
+def test_sweep_matching_test_agrees_with_brute_force():
+    # Every labeled graph on 6 vertices, with neighbors in index order ...
+    pairs = list(combinations(range(6), 2))
+    for bits in range(1 << len(pairs)):
+        nbr = [0] * 6
+        for b, (i, j) in enumerate(pairs):
+            if bits >> b & 1:
+                nbr[i] |= 1 << j
+                nbr[j] |= 1 << i
+        adj = [[w for w in range(6) if n >> w & 1] for n in nbr]
+        assert _perfect_matching(adj) == _has_perfect_matching(nbr, 63), bits
+    # ... and random vertex sets of random graphs on 10 vertices.
+    rng = random.Random(7)
+    pairs = list(combinations(range(1, 11), 2))
+    for _ in range(300):
+        g = graph_from_edges(10, rng.sample(pairs, rng.randint(5, 25)))
+        sweep = _PaletteSweep(g)
+        k = len(sweep.nbr)
+        for s in (rng.getrandbits(k) for _ in range(8)):
+            assert sweep.matchable(s) == _has_perfect_matching(sweep.nbr, s), (g, s)
+
+
+def test_sweep_matching_test_is_polynomial():
+    # Two disjoint K_31: at t = 30 every vertex must start at color 1, and
+    # S_1, all 62 vertices, has two odd components.  A search over
+    # pairings would visit ~2^29 vertex sets before it gave up.
+    m = 31
+    cliques = [(i + o, j + o) for o in (0, m) for i, j in combinations(range(1, m + 1), 2)]
+    g = graph_from_edges(2 * m, cliques)
+    start = time.perf_counter()
+    probe = _PaletteSweep(g).probe(m - 1, 1)
+    result = compute_max_span(g, 4 * m, node_budget=1)
+    elapsed = time.perf_counter() - start
+    assert (probe.status, probe.nodes_explored) == (SearchStatus.EXHAUSTED_NO_SOLUTION, 1)
+    assert (result.max_span, result.complete) == (0, False)
+    assert elapsed < 1.0
 
 
 def test_sweep_depth_does_not_grow_the_call_stack():
