@@ -23,7 +23,6 @@ from .search import (
     SearchStatus,
     compute_max_span,
     find_interval_coloring,
-    span_cap,
 )
 
 _USAGE_ERROR = 2
@@ -133,7 +132,7 @@ def _cmd_search(args: argparse.Namespace, stdout: TextIO, stdin: TextIO) -> int:
         raise _CliError("--cap only applies with --max")
     graph = _load_graph(args.graph, stdin)
     if args.max:
-        cap = args.cap if args.cap is not None else span_cap(graph, 10**9)
+        cap = args.cap if args.cap is not None else 10**9
         result = compute_max_span(graph, cap, node_budget=args.budget)
         for probe in result.probes:
             stdout.write(

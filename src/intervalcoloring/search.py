@@ -36,12 +36,13 @@ start at one color) or one edge placement, and costs more than an edge
 search node.  A node's work is bounded by S_c, the unstarted neighbors
 of started vertices and the twin classes its start set reaches, not by
 every vertex (apart from two list copies when vertices start);
-entering phase B costs O(|E|) plus one matching test per color.
+entering phase B costs O(|E|) plus one matching check per color.
 Prunes:
 
-* matching -- every S_c is non-empty and even, and G[S_c] has a
-  perfect matching (Edmonds' blossom algorithm, O(|S_c|^3), memoized by
-  vertex set for the sweep);
+* matching -- every S_c is non-empty and G[S_c] passes a necessary
+  check for a perfect matching (forced pairs, then even components:
+  O(|S_c| + |E(G[S_c])|) bitmask steps, memoized by vertex set for the
+  sweep);
 * start deadlines -- an unstarted vertex must start by t - deg + 1 and
   by the end of every started neighbor's palette;
 * earliest deadline first -- edge vw takes a color in
@@ -233,86 +234,39 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _perfect_matching(adj: list[list[int]]) -> bool:
-    """Whether the graph on 0..n-1 with adjacency lists adj has a perfect matching.
+def _may_match(nbr: list[int], s: int) -> bool:
+    """A necessary test for G[S] to have a perfect matching, for a vertex mask S.
 
-    Edmonds' blossom algorithm, O(n^3): a greedy matching, then one
-    augmenting-path search from each vertex it leaves unmatched.  When a
-    vertex has no augmenting path the answer is no, since a perfect
-    matching's symmetric difference with the current one would hold one.
+    A vertex with one neighbor left in S must be matched to it, so the
+    pair is removed, repeatedly; a vertex with no neighbor left fails.
+    Then every connected component of what remains must have even size,
+    since a perfect matching pairs vertices inside their component
+    (Tutte).  It never rejects a set that has a perfect matching, but
+    may accept one that has none (K_{2,4}).
     """
-    match = [-1] * len(adj)
-    for v, nbrs in enumerate(adj):
-        if match[v] < 0:
-            for w in nbrs:
-                if match[w] < 0:
-                    match[v], match[w] = w, v
-                    break
-    return all(match[r] >= 0 or _augment(adj, match, r) for r in range(len(adj)))
-
-
-def _augment(adj: list[list[int]], match: list[int], root: int) -> bool:
-    """Grow an alternating tree from unmatched root; flip the first augmenting path.
-
-    Odd cycles (blossoms) are contracted by pointing every vertex of one
-    at a common base.  Outer vertices are those at even distance from
-    root, counting through contracted blossoms.
-    """
-    n = len(adj)
-    base = list(range(n))
-    parent = [-1] * n
-    outer = [False] * n
-    outer[root] = True
-    queue = [root]
-
-    def common_base(a: int, b: int) -> int:
-        seen = [False] * n
-        while True:
-            a = base[a]
-            seen[a] = True
-            if match[a] < 0:
-                break
-            a = parent[match[a]]
-        while True:
-            b = base[b]
-            if seen[b]:
-                return b
-            b = parent[match[b]]
-
-    def mark(v: int, b: int, child: int, blossom: list[bool]) -> None:
-        while base[v] != b:
-            blossom[base[v]] = blossom[base[match[v]]] = True
-            parent[v] = child
-            child = match[v]
-            v = parent[child]
-
-    for v in queue:  # grows while it is read
-        for w in adj[v]:
-            if base[v] == base[w] or match[v] == w:
-                continue
-            if w == root or match[w] >= 0 and parent[match[w]] >= 0:
-                b = common_base(v, w)
-                blossom = [False] * n
-                mark(v, b, w, blossom)
-                mark(w, b, v, blossom)
-                for x in range(n):
-                    if blossom[base[x]]:
-                        base[x] = b
-                        if not outer[x]:
-                            outer[x] = True
-                            queue.append(x)
-            elif parent[w] < 0:
-                parent[w] = v
-                if match[w] < 0:
-                    while w >= 0:  # flip the path back to root
-                        v = parent[w]
-                        after = match[v]
-                        match[w], match[v] = v, w
-                        w = after
-                    return True
-                outer[match[w]] = True
-                queue.append(match[w])
-    return False
+    pending = s
+    while pending:
+        low = pending & -pending
+        pending ^= low
+        if s & low:
+            rest = nbr[low.bit_length() - 1] & s
+            if not rest:
+                return False
+            if not rest & rest - 1:  # one neighbor left: a forced pair
+                s ^= low | rest
+                pending |= nbr[rest.bit_length() - 1] & s
+    while s:
+        part = grow = s & -s
+        while grow:
+            reach = 0
+            for v in _bits(grow):
+                reach |= nbr[v]
+            grow = reach & s & ~part
+            part |= grow
+        if part.bit_count() & 1:
+            return False
+        s ^= part
+    return True
 
 
 class _PaletteSweep:
@@ -337,16 +291,13 @@ class _PaletteSweep:
         self.by_degree: dict[int, int] = {}  # degree -> vertices of that degree
         for v, d in enumerate(self.deg):
             self.by_degree[d] = self.by_degree.get(d, 0) | 1 << v
-        self.matchable_memo: dict[int, bool] = {}
+        self.may_match_memo: dict[int, bool] = {}
 
-    def matchable(self, s: int) -> bool:
-        """Whether G[S] has a perfect matching, for a vertex mask S."""
-        known = self.matchable_memo.get(s)
+    def may_match(self, s: int) -> bool:
+        """_may_match for a vertex mask S, memoized for the sweep."""
+        known = self.may_match_memo.get(s)
         if known is None:
-            verts = list(_bits(s))
-            index = {v: i for i, v in enumerate(verts)}
-            adj = [[index[w] for w in self.adj[v] if s >> w & 1] for v in verts]
-            known = self.matchable_memo[s] = len(verts) % 2 == 0 and _perfect_matching(adj)
+            known = self.may_match_memo[s] = _may_match(self.nbr, s)
         return known
 
     def probe(self, t: int, budget: int) -> SearchOutcome:
@@ -374,7 +325,7 @@ class _PaletteSweep:
             if budget and nodes == budget:
                 return SearchOutcome(SearchStatus.BUDGET_EXCEEDED, None, nodes)
             nodes += 1
-            if not self.matchable(s):
+            if not self.may_match(s):
                 continue
             new = s & left
             if new:
@@ -518,7 +469,7 @@ class _PaletteSweep:
             for c in range(start[v], end[v] + 1):
                 colors[c] |= 1 << v
         for s in colors[1:]:
-            if not s or s.bit_count() & 1 or not self.matchable(s):
+            if not s or not self.may_match(s):
                 return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, None, nodes)
         # Partner w is skipped while a lower twin u with the same start has
         # no colored edge: swapping u and w maps one subtree onto the other.
@@ -627,10 +578,12 @@ def compute_max_span(
 
     Spans are probed downward from the tightened cap to the maximum
     degree (smaller spans cannot be proper) on the palette-start engine.
-    Each probe gets node_budget nodes.
+    Each probe gets node_budget nodes; 0 means unlimited.
     """
     if t_cap < 1:
         raise ValueError(f"t_cap must be >= 1, got {t_cap}")
+    if node_budget < 0:
+        raise ValueError(f"node_budget must be >= 0, got {node_budget}")
     if g.edge_count == 0:
         # No edge can realize color 1, so no span is feasible.
         return MaxSpanResult(0, True, None, ())

@@ -275,6 +275,11 @@ def test_usage_errors_exit_two():
     assert run_cli(["bogus"])[0] == 2
     assert run_cli([])[0] == 2
     assert run_cli(["search", "-", "--t", "1", "--budget", "-2"])[0] == 2
+    k10 = emit_graph(complete_graph(10))
+    for flag in (["--t", "14"], ["--max"]):
+        code, out, err = run_cli(["search", "-", *flag, "--budget", "-1"], k10)
+        assert (code, out) == (2, "")
+        assert "node_budget must be >= 0" in err
     assert run_cli(["search", "-", "--t", "1", "--cap", "5"])[0] == 2
     assert run_cli(["verify", "-", "--graph", "-"])[0] == 2
 

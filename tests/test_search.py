@@ -22,7 +22,7 @@ from intervalcoloring import (
     span_cap,
     verify_interval,
 )
-from intervalcoloring.search import _PaletteSweep, _perfect_matching
+from intervalcoloring.search import _PaletteSweep, _may_match
 
 
 def decide(g, t):
@@ -34,6 +34,8 @@ def test_config_validation():
         SearchConfig(t=0)
     with pytest.raises(ValueError):
         SearchConfig(t=1, node_budget=-1)
+    with pytest.raises(ValueError, match="node_budget must be >= 0"):
+        compute_max_span(complete_graph(4), 5, node_budget=-1)
 
 
 def test_k2_t1_found():
@@ -367,17 +369,27 @@ def _has_perfect_matching(nbr, mask):
     )
 
 
-def test_sweep_matching_test_agrees_with_brute_force():
-    # Every labeled graph on 6 vertices, with neighbors in index order ...
+def _nbr(n, edges):
+    nbr = [0] * n
+    for i, j in edges:
+        nbr[i] |= 1 << j
+        nbr[j] |= 1 << i
+    return nbr
+
+
+def test_sweep_matching_test_is_sound():
+    # The check is necessary, not exact: it must accept every set that has
+    # a perfect matching.  Every labeled graph on 6 vertices ...
     pairs = list(combinations(range(6), 2))
+    accepted_without = 0
     for bits in range(1 << len(pairs)):
-        nbr = [0] * 6
-        for b, (i, j) in enumerate(pairs):
-            if bits >> b & 1:
-                nbr[i] |= 1 << j
-                nbr[j] |= 1 << i
-        adj = [[w for w in range(6) if n >> w & 1] for n in nbr]
-        assert _perfect_matching(adj) == _has_perfect_matching(nbr, 63), bits
+        nbr = _nbr(6, [p for b, p in enumerate(pairs) if bits >> b & 1])
+        if _has_perfect_matching(nbr, 63):
+            assert _may_match(nbr, 63), bits
+        elif _may_match(nbr, 63):
+            accepted_without += 1
+    # ... of which 30 have no perfect matching but pass (K_{2,4} and kin).
+    assert accepted_without == 30
     # ... and random vertex sets of random graphs on 10 vertices.
     rng = random.Random(7)
     pairs = list(combinations(range(1, 11), 2))
@@ -386,7 +398,19 @@ def test_sweep_matching_test_agrees_with_brute_force():
         sweep = _PaletteSweep(g)
         k = len(sweep.nbr)
         for s in (rng.getrandbits(k) for _ in range(8)):
-            assert sweep.matchable(s) == _has_perfect_matching(sweep.nbr, s), (g, s)
+            if _has_perfect_matching(sweep.nbr, s):
+                assert sweep.may_match(s), (g, s)
+
+
+def test_sweep_matching_test_named_cases():
+    # Star K_{1,3}: even and connected, so only the forced pair rejects it.
+    assert not _may_match(_nbr(4, [(0, 1), (0, 2), (0, 3)]), 15)
+    # Two disjoint triangles: no vertex is forced, both parts are odd.
+    assert not _may_match(_nbr(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), 63)
+    # K_{2,4}: no perfect matching, but neither rule sees it.
+    k24 = _nbr(6, [(i, j) for i in (0, 1) for j in (2, 3, 4, 5)])
+    assert not _has_perfect_matching(k24, 63)
+    assert _may_match(k24, 63)
 
 
 def test_sweep_matching_test_is_polynomial():
