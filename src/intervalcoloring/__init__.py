@@ -18,6 +18,7 @@ from .bounds import (
     general_upper_bound,
     log_lower_bound,
     refined_upper_bound,
+    span_cap,
     triangle_free_upper_bound,
 )
 from .coloring import (
@@ -59,7 +60,6 @@ from .search import (
     SearchStatus,
     compute_max_span,
     find_interval_coloring,
-    span_cap,
 )
 
 __version__ = "0.1.0"

@@ -123,6 +123,12 @@ def triangle_free_upper_bound(g: Graph) -> int | None:
     return _TRIANGLE_FREE.entry(_graph_invariants(g)).value
 
 
+def span_cap(g: Graph, t_cap: int) -> int:
+    """t_cap tightened by the refined and general bounds, not the triangle-free one."""
+    inv = _graph_invariants(g)
+    return min([t_cap, *(b.value(inv) for b in (_REFINED, _GENERAL) if b.applies(inv))])
+
+
 def _report(inv: _Invariants) -> BoundsReport:
     m = inv.vertex_count
     return BoundsReport(

@@ -50,17 +50,16 @@ Prunes:
   full for each vertex that starts and, in phase B, for each vertex of
   S_c after color c; other started vertices get a count check;
 * twins -- u, w with N(u) - {w} == N(w) - {u} are interchangeable, so
-  within a twin class the lower-numbered vertices start first, and
-  phase B skips partner w while a lower twin of w with the same start
-  has no colored edge.
+  in phase A the lower-numbered vertices of a twin class start first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache, partial
 
-from .bounds import _GENERAL, _REFINED, _graph_invariants
+from .bounds import span_cap
 from .coloring import EdgeColoring
 from .graph import Graph
 
@@ -291,14 +290,8 @@ class _PaletteSweep:
         self.by_degree: dict[int, int] = {}  # degree -> vertices of that degree
         for v, d in enumerate(self.deg):
             self.by_degree[d] = self.by_degree.get(d, 0) | 1 << v
-        self.may_match_memo: dict[int, bool] = {}
-
-    def may_match(self, s: int) -> bool:
-        """_may_match for a vertex mask S, memoized for the sweep."""
-        known = self.may_match_memo.get(s)
-        if known is None:
-            known = self.may_match_memo[s] = _may_match(self.nbr, s)
-        return known
+        # Memoized for the whole sweep: probes at different spans meet the same sets.
+        self.may_match = cache(partial(_may_match, self.nbr))
 
     def probe(self, t: int, budget: int) -> SearchOutcome:
         """Decide span t; a node is one start decision or one edge placement."""
@@ -461,39 +454,26 @@ class _PaletteSweep:
 
     def _color_edges(self, t: int, start: list[int], budget: int, nodes: int) -> SearchOutcome:
         """Phase B: with every start fixed, match each S_c over uncolored edges."""
-        deg, lower = self.deg, self.lower
-        k = len(deg)
+        deg = self.deg
         end = [a + d - 1 for a, d in zip(start, deg)]
         colors = [0] * (t + 1)
-        for v in range(k):
+        for v in range(len(deg)):
             for c in range(start[v], end[v] + 1):
                 colors[c] |= 1 << v
         for s in colors[1:]:
             if not s or not self.may_match(s):
                 return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, None, nodes)
-        # Partner w is skipped while a lower twin u with the same start has
-        # no colored edge: swapping u and w maps one subtree onto the other.
-        starting: dict[int, int] = {}  # start color -> vertices starting there
-        for v, a in enumerate(start):
-            starting[a] = starting.get(a, 0) | 1 << v
-        peers = [twins & starting[a] for twins, a in zip(lower, start)]
         unused = self.nbr.copy()  # neighbors over uncolored edges
-        fresh = (1 << k) - 1  # vertices with no colored edge
 
-        def frame(c: int, rem: int, fresh: int) -> list:
-            # [color, vertices left to match, v, partners left, w placed, fresh]
+        def frame(c: int, rem: int) -> list:
+            # [color, vertices left to match, v, partners left, w placed]
             v = (rem & -rem).bit_length() - 1
-            partners = unused[v] & rem
-            others = fresh & ~(1 << v)
-            for w in _bits(partners):
-                if peers[w] & others:
-                    partners ^= 1 << w
-            return [c, rem, v, partners, -1, fresh]
+            return [c, rem, v, unused[v] & rem, -1]
 
-        frames = [frame(1, colors[1], fresh)]
+        frames = [frame(1, colors[1])]
         while frames:
             f = frames[-1]
-            c, rem, v, partners, w, fresh = f
+            c, rem, v, partners, w = f
             if w >= 0:
                 unused[v] |= 1 << w
                 unused[w] |= 1 << v
@@ -508,17 +488,16 @@ class _PaletteSweep:
             w = f[4] = bit.bit_length() - 1
             unused[v] ^= bit
             unused[w] ^= 1 << v
-            fresh &= ~(bit | 1 << v)
             rem ^= bit | 1 << v
             if rem:
-                frames.append(frame(c, rem, fresh))
+                frames.append(frame(c, rem))
             elif self._edges_fit(c, colors[c], start, end, unused):
                 if c == t:
                     labels = self.labels
                     placed = {(labels[fr[2]], labels[fr[4]]): fr[0] for fr in frames}
                     witness = EdgeColoring({e: placed[e] for e in self.edges}, span_t=t)
                     return SearchOutcome(SearchStatus.FOUND, witness, nodes)
-                frames.append(frame(c + 1, colors[c + 1], fresh))
+                frames.append(frame(c + 1, colors[c + 1]))
         return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, None, nodes)
 
     def _edges_fit(self, c: int, s: int, start: list[int], end: list[int], unused: list[int]) -> bool:
@@ -561,12 +540,6 @@ class MaxSpanResult:
     complete: bool
     witness: EdgeColoring | None
     probes: tuple[ProbeRecord, ...] = field(default=())
-
-
-def span_cap(g: Graph, t_cap: int) -> int:
-    """t_cap tightened by the refined and general bounds, not the triangle-free one."""
-    inv = _graph_invariants(g)
-    return min([t_cap, *(b.value(inv) for b in (_REFINED, _GENERAL) if b.applies(inv))])
 
 
 def compute_max_span(

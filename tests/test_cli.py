@@ -55,6 +55,20 @@ def test_verify_fail_lists_violations(tmp_path):
     assert "color-unused at color 1" in out
 
 
+def test_verify_fail_listing_is_byte_exact():
+    # Vertex 1 repeats color 1, vertex 3 sees {1, 3}, and colors 2 and 4
+    # are on no edge.
+    code, out, err = run_cli(["verify", "-"], "c 4 4\ne 1 2 1\ne 1 3 1\ne 3 4 3\n")
+    assert (code, err) == (1, "")
+    assert out == (
+        "FAIL: 4 violation(s)\n"
+        "  not-proper at vertex 1\n"
+        "  not-consecutive at vertex 3\n"
+        "  color-unused at color 2\n"
+        "  color-unused at color 4\n"
+    )
+
+
 def test_verify_against_graph_file(tmp_path):
     gpath = tmp_path / "k4.graph"
     gpath.write_text(emit_graph(complete_graph(4)))
@@ -231,7 +245,7 @@ def test_search_max_with_cap(tmp_path):
 
 
 def test_search_max_reports_budget_gap_honestly(tmp_path):
-    # The sweep exhausts K_10 at t=16 and t=15 in 281 and 239 nodes, so at
+    # The sweep exhausts K_10 at t=16 and t=15 in 281 and 258 nodes, so at
     # budget 200 both stop on the budget above the span-14 witness.
     gpath = tmp_path / "k10.graph"
     gpath.write_text(emit_graph(complete_graph(10)))
@@ -269,11 +283,38 @@ def test_cases_counts_sum_to_edge_count():
     assert out.strip().endswith("total 28 edges")
 
 
+@pytest.mark.parametrize(
+    "n, golden",
+    [
+        (1, ["case 1: 0 edges", "case 2: 0 edges", "case 3: 0 edges",
+             "case 4: 1 edges, colors 1..1", "case 5: 0 edges", "case 6: 0 edges",
+             "case 7: 0 edges", "case 8: 0 edges", "total 1 edges"]),
+        (3, ["case 1: 2 edges, colors 1..2", "case 2: 1 edges, colors 5..5",
+             "case 3: 1 edges, colors 4..4", "case 4: 6 edges, colors 3..5",
+             "case 5: 1 edges, colors 2..2", "case 6: 1 edges, colors 6..6",
+             "case 7: 0 edges", "case 8: 3 edges, colors 5..7", "total 15 edges"]),
+    ],
+)
+def test_cases_output_is_byte_exact(n, golden):
+    # Below n = 4 some clauses cover no edge and print without a color range.
+    code, out, err = run_cli(["cases", "--n", str(n)])
+    assert (code, err) == (0, "")
+    assert out == "\n".join([f"edge-formula clauses for K_{2 * n} (n={n})", *golden, ""])
+
+
 def test_usage_errors_exit_two():
-    assert run_cli(["construct"])[0] == 2
-    assert run_cli(["construct", "--n", "0"])[0] == 2
-    assert run_cli(["bogus"])[0] == 2
-    assert run_cli([])[0] == 2
+    # argparse's usage errors land in the stderr given to run, not sys.stderr.
+    for argv, message in (
+        (["construct"], "error: the following arguments are required: --n"),
+        (["construct", "--n", "0"], "error: argument --n: must be >= 1, got 0"),
+        (["bogus"], "error: argument command: invalid choice: 'bogus'"),
+        ([], "error: the following arguments are required: command"),
+        (["search", "-", "--t", "0"], "error: argument --t: must be >= 1, got 0"),
+    ):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("usage: intervalcoloring"), argv
+        assert message in err, argv
     assert run_cli(["search", "-", "--t", "1", "--budget", "-2"])[0] == 2
     k10 = emit_graph(complete_graph(10))
     for flag in (["--t", "14"], ["--max"]):
@@ -284,6 +325,8 @@ def test_usage_errors_exit_two():
     assert run_cli(["verify", "-", "--graph", "-"])[0] == 2
 
 
-def test_help_exits_zero(capsys):
-    assert run_cli(["--help"])[0] == 0
-    capsys.readouterr()
+def test_help_exits_zero():
+    code, out, err = run_cli(["--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: intervalcoloring")
+    assert "exit codes:" in out

@@ -8,6 +8,7 @@ from intervalcoloring import (
     EdgeColoring,
     Graph,
     UncoloredEdgeError,
+    Violation,
     ViolationKind,
     complete_graph,
     construct,
@@ -134,6 +135,21 @@ def test_verify_gap_palette():
     report = verify_interval(g, c)
     gaps = [v.vertex for v in report.violations if v.kind is ViolationKind.NOT_CONSECUTIVE]
     assert gaps == [2]
+
+
+def test_violation_renders_its_location():
+    # A violation names its vertex, its edge, its color, or an edge and a color.
+    cases = [
+        (Violation(ViolationKind.NOT_PROPER, vertex=3), "not-proper at vertex 3"),
+        (Violation(ViolationKind.NOT_CONSECUTIVE, vertex=12), "not-consecutive at vertex 12"),
+        (Violation(ViolationKind.COLOR_UNUSED, color=2), "color-unused at color 2"),
+        (Violation(ViolationKind.COLOR_OUT_OF_RANGE, edge=(1, 4), color=9),
+         "color-out-of-range at edge (1, 4), color 9"),
+        (Violation(ViolationKind.EDGE_UNCOLORED, edge=(2, 5)), "edge-uncolored at edge (2, 5)"),
+    ]
+    assert {v.kind for v, _ in cases} == set(ViolationKind)
+    for violation, text in cases:
+        assert str(violation) == text
 
 
 def test_verify_ignores_degree_zero_vertices():

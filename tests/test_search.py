@@ -328,6 +328,28 @@ def test_sweep_node_counts_are_pinned(m, probes):
     assert result.complete
 
 
+# Deeper probes, run one by one: compute_max_span on K_12 would go on to
+# t=18, which stops only on a budget.
+@pytest.mark.parametrize(
+    "m, t, status, nodes",
+    [
+        (10, 16, SearchStatus.EXHAUSTED_NO_SOLUTION, 281),
+        (10, 15, SearchStatus.EXHAUSTED_NO_SOLUTION, 258),
+        (10, 14, SearchStatus.FOUND, 124),
+        (10, 13, SearchStatus.FOUND, 90),
+        (12, 20, SearchStatus.EXHAUSTED_NO_SOLUTION, 1332),
+        (12, 19, SearchStatus.EXHAUSTED_NO_SOLUTION, 1153),
+    ],
+)
+def test_deep_sweep_node_counts_are_pinned(m, t, status, nodes):
+    g = complete_graph(m)
+    out = _PaletteSweep(g).probe(t, 0)
+    assert (out.status, out.nodes_explored) == (status, nodes)
+    if out.found:
+        assert out.coloring.span_t == t
+        assert verify_interval(g, out.coloring).verdict
+
+
 def test_sweep_node_total_over_small_graphs_is_pinned():
     graphs = canonical_graphs_upto(5)
     results = [compute_max_span(g, 2 * g.vertex_count) for g in graphs]
