@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
 from typing import TextIO
 
 from . import bounds as bounds_mod
@@ -30,10 +31,6 @@ _USAGE_ERROR = 2
 _CHECK_FAILED = 1
 
 
-class _CliError(Exception):
-    """Input or file problem; message printed to stderr, exit 2."""
-
-
 def _read_text(path: str, stdin: TextIO) -> str:
     if path == "-":
         return stdin.read()
@@ -41,7 +38,7 @@ def _read_text(path: str, stdin: TextIO) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc.strerror or exc}") from None
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def _write_output(text: str, out_path: str | None, stdout: TextIO) -> None:
@@ -52,14 +49,14 @@ def _write_output(text: str, out_path: str | None, stdout: TextIO) -> None:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise _CliError(f"cannot write {out_path}: {exc.strerror or exc}") from None
+        raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from None
 
 
 def _load_graph(path: str, stdin: TextIO) -> Graph:
     try:
         return formats.parse_graph(_read_text(path, stdin))
     except formats.FormatError as exc:
-        raise _CliError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _positive(value: str) -> int:
@@ -78,14 +75,14 @@ def _cmd_construct(args: argparse.Namespace, stdout: TextIO, stdin: TextIO) -> i
 
 def _cmd_verify(args: argparse.Namespace, stdout: TextIO, stdin: TextIO) -> int:
     if args.coloring == "-" and args.graph == "-":
-        raise _CliError("only one of the inputs can read stdin")
+        raise ValueError("only one of the inputs can read stdin")
     graph = _load_graph(args.graph, stdin) if args.graph else None
     try:
         graph, coloring = formats.parse_coloring_with_graph(
             _read_text(args.coloring, stdin), graph
         )
     except formats.FormatError as exc:
-        raise _CliError(f"{args.coloring}: {exc}") from None
+        raise ValueError(f"{args.coloring}: {exc}") from None
     report = verify_interval(graph, coloring)
     if report.verdict:
         stdout.write(
@@ -130,7 +127,7 @@ def _cmd_bounds(args: argparse.Namespace, stdout: TextIO, stdin: TextIO) -> int:
 
 def _cmd_search(args: argparse.Namespace, stdout: TextIO, stdin: TextIO) -> int:
     if args.cap is not None and not args.max:
-        raise _CliError("--cap only applies with --max")
+        raise ValueError("--cap only applies with --max")
     graph = _load_graph(args.graph, stdin)
     if args.max:
         cap = args.cap if args.cap is not None else 10**9
@@ -176,6 +173,7 @@ def _cmd_cases(args: argparse.Namespace, stdout: TextIO, stdin: TextIO) -> int:
     return 0
 
 
+@cache  # built once per process; nothing changes it afterwards
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="intervalcoloring",
@@ -252,17 +250,15 @@ def run(
     stderr = stderr if stderr is not None else sys.stderr
     parser = _build_parser()
     try:
-        # argparse prints usage errors and --help to sys.stderr / sys.stdout.
+        # argparse prints usage errors and --help to sys.stderr / sys.stdout,
+        # looked up when it prints, so the shared parser writes to these.
         with redirect_stdout(stdout), redirect_stderr(stderr):
             args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else _USAGE_ERROR
     try:
         return args.func(args, stdout, stdin)
-    except _CliError as exc:
-        stderr.write(f"error: {exc}\n")
-        return _USAGE_ERROR
-    except ValueError as exc:
+    except ValueError as exc:  # input or file problems, FormatError included
         stderr.write(f"error: {exc}\n")
         return _USAGE_ERROR
 

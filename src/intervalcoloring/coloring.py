@@ -23,6 +23,7 @@ class ViolationKind(Enum):
     COLOR_UNUSED = "color-unused"
     COLOR_OUT_OF_RANGE = "color-out-of-range"
     EDGE_UNCOLORED = "edge-uncolored"
+    EDGE_UNKNOWN = "edge-unknown"
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ class UncoloredEdgeError(ValueError):
         super().__init__(f"edge ({edge[0]}, {edge[1]}) has no color")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class EdgeColoring:
     """An edge -> color map together with its declared span.
 
@@ -95,13 +96,6 @@ class EdgeColoring:
             if min(mapping.values()) < 1:
                 raise ValueError("colors must be positive integers")
         object.__setattr__(self, "assignment", MappingProxyType(mapping))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EdgeColoring):
-            return NotImplemented
-        return self.span_t == other.span_t and dict(self.assignment) == dict(
-            other.assignment
-        )
 
     def __len__(self) -> int:
         return len(self.assignment)
@@ -152,6 +146,8 @@ def verify_interval(g: Graph, coloring: EdgeColoring) -> IntervalReport:
     All conditions are evaluated and every failure is reported:
 
     * edge-uncolored   -- an edge of g has no color;
+    * edge-unknown     -- a colored pair is not an edge of g (it counts
+      toward no palette and no color use);
     * color-out-of-range -- an assigned color lies outside 1..span_t;
     * not-proper       -- two edges at one vertex share a color;
     * not-consecutive  -- the distinct colors at a vertex have a gap
@@ -176,6 +172,8 @@ def verify_interval(g: Graph, coloring: EdgeColoring) -> IntervalReport:
         for e in sorted(g.edges - assignment.keys()):
             violations.append(Violation(ViolationKind.EDGE_UNCOLORED, edge=e))
             incomplete.update(e)
+        for e in sorted(assignment.keys() - g.edges):
+            violations.append(Violation(ViolationKind.EDGE_UNKNOWN, edge=e))
         colored_items = [(e, assignment[e]) for e in g.edges & assignment.keys()]
 
     out_of_range: list[tuple[Edge, int]] = []

@@ -49,8 +49,8 @@ Prunes:
   [max(a_v, a_w), min(e_v, e_w)], distinct at each vertex: checked in
   full for each vertex that starts and, in phase B, for each vertex of
   S_c after color c; other started vertices get a count check;
-* twins -- u, w with N(u) - {w} == N(w) - {u} are interchangeable, so
-  in phase A the lower-numbered vertices of a twin class start first.
+* twins -- the twin classes partition the vertices and are computed
+  once per sweep; in phase A a class's lower-numbered vertices start first.
 """
 
 from __future__ import annotations
@@ -189,22 +189,21 @@ def find_interval_coloring(g: Graph, cfg: SearchConfig) -> SearchOutcome:
             start_color = c + 1
 
 
-def _lower_twins(nbr: list[int]) -> list[int]:
-    """Mask of each vertex's lower-numbered twins.
+def _twin_classes(nbr: list[int]) -> list[int]:
+    """Mask of each vertex's twin class, the vertex included.
 
-    u and w are twins when N(u) - {w} == N(w) - {u}: equal open
-    neighborhoods (not adjacent) or equal closed ones (adjacent).
-    Swapping two twins is an automorphism of the graph.
+    u and w are twins when N(u) - {w} == N(w) - {u}: equal open (false
+    twins) or closed (true twins) neighborhoods; swapping them is an
+    automorphism.  The classes partition the vertices: if u had a false
+    twin w and a true twin x, then x is in N(u) = N(w), so w is in
+    N[x] = N[u], a contradiction.
     """
     by_open: dict[int, int] = {}
     by_closed: dict[int, int] = {}
-    lower = []
     for w, n in enumerate(nbr):
-        bit = 1 << w
-        lower.append(by_open.get(n, 0) | by_closed.get(n | bit, 0))
-        by_open[n] = by_open.get(n, 0) | bit
-        by_closed[n | bit] = by_closed.get(n | bit, 0) | bit
-    return lower
+        by_open[n] = by_open.get(n, 0) | 1 << w
+        by_closed[n | 1 << w] = by_closed.get(n | 1 << w, 0) | 1 << w
+    return [by_open[n] | by_closed[n | 1 << w] for w, n in enumerate(nbr)]
 
 
 def _fits(lo: int, hi: int, windows: list[tuple[int, int]]) -> bool:
@@ -286,7 +285,7 @@ class _PaletteSweep:
         self.adj = adj
         self.deg = [len(a) for a in adj]
         self.nbr = [sum(1 << w for w in a) for a in adj]
-        self.lower = _lower_twins(self.nbr)
+        self.twins = _twin_classes(self.nbr)  # fixed for the whole sweep
         self.by_degree: dict[int, int] = {}  # degree -> vertices of that degree
         for v, d in enumerate(self.deg):
             self.by_degree[d] = self.by_degree.get(d, 0) | 1 << v
@@ -370,20 +369,19 @@ class _PaletteSweep:
     def _start_sets(self, optional: int, left: int, parity: int):
         """The sets of optional starters to try, in order.
 
-        Unstarted twins have the same lim, so each twin class lies wholly
-        inside or outside optional.  Starters form a prefix of each class
-        (its lower-numbered vertices start first), and a set is kept when
-        its size has the given parity, so that |S_c| is even.  The sets
-        come in itertools.product order over the classes, ordered by
-        lowest vertex, with the last class varying fastest.  That counter
-        finds each class, scanning down from the highest vertex, only
-        when it first carries into it, so a node that succeeds early
-        costs no scan of every unstarted vertex.
+        The twin classes (self.twins) partition the vertices for the whole
+        sweep, and unstarted twins have the same lim, so each class lies
+        wholly inside or outside optional.  Starters form a prefix of each
+        class (lower-numbered vertices start first), and a set is kept
+        when its size has the given parity, so that |S_c| is even.  Sets
+        come in itertools.product order over the classes, by lowest
+        vertex, last class fastest.  The counter finds a class, scanning
+        down to its lowest unstarted member, only when it first carries
+        into it, so a node that succeeds early costs no full scan.
         """
-        lower = self.lower
+        twins = self.twins
         prefixes: list[list[int]] = []  # classes found so far, last class first
         counts: list[int] = []
-        above: dict[int, int] = {}  # a class's lowest vertex bit -> its others seen
         rest = optional
         x = size = 0
         while True:
@@ -399,14 +397,9 @@ class _PaletteSweep:
                 members = 0
                 while rest and not members:
                     v = rest.bit_length() - 1
-                    bit = 1 << v
-                    rest ^= bit
-                    twins = lower[v] & left
-                    if twins:
-                        lowest = twins & -twins
-                        above[lowest] = above.get(lowest, 0) | bit
-                    else:
-                        members = bit | above.pop(bit, 0)
+                    rest ^= 1 << v
+                    if not twins[v] & left & (1 << v) - 1:
+                        members = twins[v] & left
                 if not members:
                     return
                 prefix = [0]

@@ -173,7 +173,9 @@ def test_criterion_9_max_span_of_k6_and_k8_settled(monkeypatch):
     # Re-derivations of the two exhausted probes: the edge search exhausts
     # K_6 t=8 in 56,350 nodes (criterion 5, and pinned in test_search.py);
     # the sweep with its twin rule off exhausts K_8 t=12 on its own.
-    monkeypatch.setattr(search, "_lower_twins", lambda nbr: [0] * len(nbr))
+    monkeypatch.setattr(
+        search, "_twin_classes", lambda nbr: [1 << v for v in range(len(nbr))]
+    )
     ablated = compute_max_span(complete_graph(8), 12)
     assert ablated.probes[0] == ProbeRecord(12, SearchStatus.EXHAUSTED_NO_SOLUTION, 39075)
     assert (ablated.max_span, ablated.complete) == (11, True)

@@ -30,6 +30,13 @@ def test_construct_to_file(tmp_path):
     assert path.read_text().splitlines()[0] == "c 4 4"
 
 
+def test_write_failure_is_usage_error(tmp_path):
+    target = tmp_path / "missing" / "x.coloring"
+    code, out, err = run_cli(["construct", "--n", "2", "--out", str(target)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write")
+
+
 def test_verify_pass_and_exit_zero(tmp_path):
     _, text, _ = run_cli(["construct", "--n", "5"])
     path = tmp_path / "k10.coloring"
@@ -330,3 +337,15 @@ def test_help_exits_zero():
     assert (code, err) == (0, "")
     assert out.startswith("usage: intervalcoloring")
     assert "exit codes:" in out
+
+
+def test_each_call_gets_its_own_parser_output():
+    # The parser is built once; each call's streams still get its output.
+    first, second = run_cli(["construct"]), run_cli(["bogus"])
+    assert first[:2] == second[:2] == (2, "")
+    assert "required: --n" in first[2] and "bogus" not in first[2]
+    assert "invalid choice: 'bogus'" in second[2] and "--n" not in second[2]
+    first, second = run_cli(["--help"]), run_cli(["search", "--help"])
+    assert first[0] == second[0] == 0 and first[2] == second[2] == ""
+    assert first[1].startswith("usage: intervalcoloring [-h]")
+    assert second[1].startswith("usage: intervalcoloring search")

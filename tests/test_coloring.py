@@ -39,7 +39,9 @@ def test_edge_coloring_is_immutable_and_comparable():
         c.assignment[(1, 2)] = 2
     assert c == EdgeColoring({(1, 2): 1}, span_t=1)
     assert c != EdgeColoring({(1, 2): 1}, span_t=2)
+    assert c != {(1, 2): 1}
     assert c.color(2, 1) == 1
+    assert len(c) == 1 and len(construct(2)) == 6
 
 
 def test_palette_single_edge():
@@ -120,6 +122,22 @@ def test_verify_uncolored_edge():
     assert uncolored[0].edge == (2, 3)
 
 
+def test_verify_unknown_edge():
+    # A colored pair that is not an edge of g fails the coloring.
+    report = verify_interval(complete_graph(2), EdgeColoring({(1, 2): 1, (3, 9): 1}, 1))
+    assert not bool(report)
+    assert report.violations == (Violation(ViolationKind.EDGE_UNKNOWN, edge=(3, 9)),)
+    # Unknown pairs come right after the uncolored edges, sorted, and count
+    # toward no palette and no color use: color 3 sits only on (2, 5).
+    c = EdgeColoring({(1, 2): 1, (1, 3): 2, (4, 6): 1, (2, 5): 3}, span_t=3)
+    assert [str(v) for v in verify_interval(complete_graph(3), c).violations] == [
+        "edge-uncolored at edge (2, 3)",
+        "edge-unknown at edge (2, 5)",
+        "edge-unknown at edge (4, 6)",
+        "color-unused at color 3",
+    ]
+
+
 def test_verify_color_out_of_range():
     g = complete_graph(2)
     c = EdgeColoring({(1, 2): 7}, span_t=4)
@@ -146,6 +164,7 @@ def test_violation_renders_its_location():
         (Violation(ViolationKind.COLOR_OUT_OF_RANGE, edge=(1, 4), color=9),
          "color-out-of-range at edge (1, 4), color 9"),
         (Violation(ViolationKind.EDGE_UNCOLORED, edge=(2, 5)), "edge-uncolored at edge (2, 5)"),
+        (Violation(ViolationKind.EDGE_UNKNOWN, edge=(3, 9)), "edge-unknown at edge (3, 9)"),
     ]
     assert {v.kind for v, _ in cases} == set(ViolationKind)
     for violation, text in cases:

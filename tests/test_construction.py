@@ -184,6 +184,8 @@ def test_case_statistics_cover_all_edges():
                 assert s.min_color is None and s.max_color is None
             else:
                 assert 1 <= s.min_color <= s.max_color <= 3 * n - 2
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        case_statistics(0)
 
 
 def test_empty_cases_at_small_n():

@@ -22,7 +22,7 @@ from intervalcoloring import (
     span_cap,
     verify_interval,
 )
-from intervalcoloring.search import _PaletteSweep, _may_match
+from intervalcoloring.search import _PaletteSweep, _may_match, _twin_classes
 
 
 def decide(g, t):
@@ -36,6 +36,8 @@ def test_config_validation():
         SearchConfig(t=1, node_budget=-1)
     with pytest.raises(ValueError, match="node_budget must be >= 0"):
         compute_max_span(complete_graph(4), 5, node_budget=-1)
+    with pytest.raises(ValueError, match="t_cap must be >= 1"):
+        compute_max_span(complete_graph(4), 0)
 
 
 def test_k2_t1_found():
@@ -433,6 +435,25 @@ def test_sweep_matching_test_named_cases():
     k24 = _nbr(6, [(i, j) for i in (0, 1) for j in (2, 3, 4, 5)])
     assert not _has_perfect_matching(k24, 63)
     assert _may_match(k24, 63)
+
+
+def test_twin_classes_match_the_definition_and_partition():
+    # On every labeled graph on 5 and 6 vertices, u's class is exactly the
+    # w with N(u) - {w} == N(w) - {u} (u included), and every member of a
+    # class has that same class.
+    for n in (5, 6):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            nbr = _nbr(n, [p for b, p in enumerate(pairs) if bits >> b & 1])
+            twins = _twin_classes(nbr)
+            for u in range(n):
+                expected = sum(
+                    1 << w
+                    for w in range(n)
+                    if nbr[u] & ~(1 << w) == nbr[w] & ~(1 << u)
+                )
+                assert twins[u] == expected, (n, bits, u)
+                assert all(twins[w] == expected for w in range(n) if expected >> w & 1)
 
 
 def test_sweep_matching_test_is_polynomial():
