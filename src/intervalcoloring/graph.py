@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -19,7 +18,8 @@ class Graph:
     canonical pair (i, j) with 1 <= i < j <= vertex_count; the
     constructor checks this and keeps the frozenset it is given (use
     `graph_from_edges` for pairs in either order).  Instances are
-    immutable and safe to share across threads.
+    immutable and safe to share across threads.  `adjacency` is the one
+    index of the vertices that have an edge: degrees are read from it.
     """
 
     vertex_count: int
@@ -48,11 +48,6 @@ class Graph:
         return tuple(sorted(self.edges))
 
     @cached_property
-    def _degrees(self) -> Counter[int]:
-        """Degree of each vertex that has an edge; isolated vertices are absent."""
-        return Counter(x for e in self.edges for x in e)
-
-    @cached_property
     def adjacency(self) -> dict[int, frozenset[int]]:
         """Neighbor sets of the vertices that have an edge; isolated vertices are absent."""
         neighbors: dict[int, set[int]] = {}
@@ -67,11 +62,11 @@ class Graph:
 
     def degree(self, x: int) -> int:
         self._check_vertex(x)
-        return self._degrees[x]
+        return len(self.adjacency.get(x, ()))
 
     @cached_property
     def max_degree(self) -> int:
-        return max(self._degrees.values(), default=0)
+        return max(map(len, self.adjacency.values()), default=0)
 
     def has_edge(self, x: int, y: int) -> bool:
         if x > y:

@@ -180,7 +180,7 @@ def parse_coloring(text: str, graph: Graph | None = None) -> EdgeColoring:
 
 
 def emit_coloring(g: Graph, coloring: EdgeColoring) -> str:
-    """Canonical coloring-file text; requires every edge of g colored."""
+    """Canonical coloring-file text; requires exactly the edges of g colored."""
     assignment = coloring.assignment
     lines = [f"c {g.vertex_count} {coloring.span_t}"]
     for i, j in g.sorted_edges:
@@ -188,4 +188,7 @@ def emit_coloring(g: Graph, coloring: EdgeColoring) -> str:
         if c is None:
             raise ValueError(f"edge ({i}, {j}) has no color")
         lines.append(f"e {i} {j} {c}")
+    if len(assignment) != g.edge_count:  # every edge was found, so some pair is extra
+        extra = min(assignment.keys() - g.edges)
+        raise ValueError(f"colored pair {extra} is not an edge of the graph")
     return "\n".join(lines) + "\n"

@@ -51,6 +51,8 @@ Prunes:
   S_c after color c; other started vertices get a count check;
 * twins -- the twin classes partition the vertices and are computed
   once per sweep; in phase A a class's lower-numbered vertices start first.
+  A level's start sets are a lazy recursive product over the classes; a
+  class is found only when a carry first reaches it (_start_sets).
 """
 
 from __future__ import annotations
@@ -116,12 +118,10 @@ def find_interval_coloring(g: Graph, cfg: SearchConfig) -> SearchOutcome:
     num_edges = len(edges)
     # State is indexed 1..k over the k vertices that have an edge, in
     # ascending order, so isolated vertices named by the header cost nothing.
-    index = {x: k for k, x in enumerate(sorted({x for e in edges for x in e}), 1)}
+    adjacency = g.adjacency
+    index = {x: k for k, x in enumerate(sorted(adjacency), 1)}
     pairs = [(index[i], index[j]) for i, j in edges]
-    deg = [0] * (len(index) + 1)
-    for u, v in pairs:
-        deg[u] += 1
-        deg[v] += 1
+    deg = [0, *(len(adjacency[x]) for x in index)]
     # Degree and color-count prerequisites; both are necessary conditions.
     if t < max(deg) or num_edges < t:
         return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, None, 0)
@@ -276,13 +276,10 @@ class _PaletteSweep:
 
     def __init__(self, g: Graph) -> None:
         self.edges = g.sorted_edges
-        self.labels = sorted({x for e in self.edges for x in e})
+        adjacency = g.adjacency
+        self.labels = sorted(adjacency)
         index = {x: k for k, x in enumerate(self.labels)}
-        adj: list[list[int]] = [[] for _ in self.labels]
-        for i, j in self.edges:
-            adj[index[i]].append(index[j])  # ascending, as the edges are sorted
-            adj[index[j]].append(index[i])
-        self.adj = adj
+        self.adj = adj = [sorted(map(index.get, adjacency[x])) for x in self.labels]
         self.deg = [len(a) for a in adj]
         self.nbr = [sum(1 << w for w in a) for a in adj]
         self.twins = _twin_classes(self.nbr)  # fixed for the whole sweep
@@ -375,42 +372,39 @@ class _PaletteSweep:
         class (lower-numbered vertices start first), and a set is kept
         when its size has the given parity, so that |S_c| is even.  Sets
         come in itertools.product order over the classes, by lowest
-        vertex, last class fastest.  The counter finds a class, scanning
-        down to its lowest unstarted member, only when it first carries
-        into it, so a node that succeeds early costs no full scan.
+        vertex, last class fastest, from the recursive _product(rest):
+        it yields the empty set, then finds the top class of rest,
+        scanning down to its lowest unstarted member; for each set low
+        that _product yields over the classes below, it yields low and
+        then low plus each non-empty prefix of the class.  A class is
+        thus found only when a carry first reaches it, so a node that
+        succeeds early costs no full scan.  Nesting depth d takes at
+        least 2^(d-1) sets: about 24 levels at the default node budget.
         """
-        twins = self.twins
-        prefixes: list[list[int]] = []  # classes found so far, last class first
-        counts: list[int] = []
-        rest = optional
-        x = size = 0
-        while True:
-            if (size ^ parity) & 1 == 0:
+        for x in self._product(optional, left):
+            if x.bit_count() & 1 == parity:
                 yield x
-            i = 0
-            while i < len(counts) and counts[i] == len(prefixes[i]) - 1:
-                x ^= prefixes[i][-1]
-                size -= counts[i]
-                counts[i] = 0
-                i += 1
-            if i == len(counts):
-                members = 0
-                while rest and not members:
-                    v = rest.bit_length() - 1
-                    rest ^= 1 << v
-                    if not twins[v] & left & (1 << v) - 1:
-                        members = twins[v] & left
-                if not members:
-                    return
-                prefix = [0]
-                for v in _bits(members):
-                    prefix.append(prefix[-1] | 1 << v)
-                prefixes.append(prefix)
-                counts.append(0)
-            prefix, j = prefixes[i], counts[i]
-            x ^= prefix[j] ^ prefix[j + 1]
-            counts[i] = j + 1
-            size += 1
+
+    def _product(self, rest: int, left: int):
+        """Prefix sets over the twin classes in rest (see _start_sets)."""
+        yield 0
+        twins = self.twins
+        members = 0
+        while rest and not members:
+            v = rest.bit_length() - 1
+            rest ^= 1 << v
+            if not twins[v] & left & (1 << v) - 1:
+                members = twins[v] & left
+        if members:
+            for low in self._product(rest, left):
+                if low:
+                    yield low
+                m = members
+                while m:  # low plus each non-empty prefix, ascending
+                    bit = m & -m
+                    m ^= bit
+                    low |= bit
+                    yield low
 
     def _starts_fit(self, c: int, s: int, start: list[int], lim: list[int], left: int) -> bool:
         """Whether every vertex of S_c can still fit its edges in its palette.

@@ -97,6 +97,18 @@ def test_is_triangle_free():
     assert not is_triangle_free(complete_graph(5))
 
 
+def test_is_triangle_free_stops_at_the_first_triangle(monkeypatch):
+    # It walks the edges itself and stops when a triangle closes, rather
+    # than build every neighbor set of Graph.adjacency first.
+    def no_adjacency(self):
+        raise AssertionError("is_triangle_free built Graph.adjacency")
+
+    monkeypatch.setattr(Graph, "adjacency", property(no_adjacency))
+    assert not is_triangle_free(complete_graph(40))
+    six_cycle = graph_from_edges(6, [(i, i % 6 + 1) for i in range(1, 7)])
+    assert is_triangle_free(six_cycle)
+
+
 def test_incident_edges_and_adjacency():
     g = graph_from_edges(4, [(1, 2), (1, 3), (2, 4)])
     assert g.incident_edges(1) == [(1, 2), (1, 3)]

@@ -100,6 +100,14 @@ def test_emit_coloring_requires_total_assignment():
         emit_coloring(g, c)
 
 
+def test_emit_coloring_rejects_pairs_that_are_not_edges():
+    # verify_interval reports such a pair, so dropping it on the way out
+    # would turn a failing coloring into a passing file.
+    c = EdgeColoring({(1, 2): 1, (3, 9): 1}, span_t=1)
+    with pytest.raises(ValueError, match=r"\(3, 9\)"):
+        emit_coloring(complete_graph(2), c)
+
+
 def test_round_trip_construct_3():
     g = complete_graph(6)
     c = construct(3)

@@ -1,7 +1,7 @@
 import random
 import time
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -304,6 +304,8 @@ def test_sweep_engine_agrees_with_edge_search_on_random_graphs():
         pairs = list(combinations(range(1, v + 1), 2))
         g = graph_from_edges(v, rng.sample(pairs, rng.randint(1, len(pairs))))
         _assert_engines_agree(g, range(1, 2 * v - 3), 20_000)
+    # Labels that are not contiguous: both engines index the touched vertices.
+    _assert_engines_agree(Graph(10**6, frozenset({(2, 5), (5, 999999)})), range(1, 4), 0)
 
 
 # Sweep node counts, like the edge search's, are evidence for the K_m
@@ -454,6 +456,55 @@ def test_twin_classes_match_the_definition_and_partition():
                 )
                 assert twins[u] == expected, (n, bits, u)
                 assert all(twins[w] == expected for w in range(n) if expected >> w & 1)
+
+
+def _reference_start_sets(twins, optional, left, parity):
+    # itertools.product over the classes of optional, by lowest vertex,
+    # each class's prefixes ascending, then the parity filter.
+    classes, seen = [], 0
+    for v in range(len(twins)):
+        if optional >> v & 1 and not seen >> v & 1:
+            members = twins[v] & left
+            seen |= members
+            prefixes = [0]
+            for w in range(v, len(twins)):
+                if members >> w & 1:
+                    prefixes.append(prefixes[-1] | 1 << w)
+            classes.append(prefixes)
+    sets = (sum(combo) for combo in product(*classes))
+    return [x for x in sets if (bin(x).count("1") ^ parity) & 1 == 0]
+
+
+def test_start_sets_are_the_product_of_class_prefixes():
+    # Random graphs: left keeps an upper suffix of each twin class (lower
+    # twins start first), and optional is a union of whole class & left sets.
+    rng = random.Random(5)
+    for _ in range(300):
+        v = rng.randint(2, 9)
+        pairs = list(combinations(range(1, v + 1), 2))
+        sweep = _PaletteSweep(graph_from_edges(v, rng.sample(pairs, rng.randint(1, len(pairs)))))
+        left = optional = 0
+        for cls in set(sweep.twins):
+            members = [u for u in range(len(sweep.twins)) if cls >> u & 1]
+            kept = sum(1 << u for u in members[rng.randint(0, len(members)):])
+            left |= kept
+            if rng.random() < 0.7:
+                optional |= kept
+        for parity in (0, 1):
+            expected = _reference_start_sets(sweep.twins, optional, left, parity)
+            assert list(sweep._start_sets(optional, left, parity)) == expected
+    # Deep: on a long path every class is one vertex, so the sets count in
+    # binary with the highest vertex as the fastest digit.  The first 4,096
+    # even sets reach 13 classes, at the default recursion limit.
+    n = 1101
+    sweep = _PaletteSweep(graph_from_edges(n, [(i, i + 1) for i in range(1, n)]))
+    everyone = (1 << n) - 1
+    counting = (
+        sum(1 << n - 1 - b for b in range(13) if i >> b & 1)
+        for i in range(1 << 13)
+        if bin(i).count("1") % 2 == 0
+    )
+    assert list(islice(sweep._start_sets(everyone, everyone, 0), 4096)) == list(counting)
 
 
 def test_sweep_matching_test_is_polynomial():
