@@ -3,12 +3,14 @@
 Subcommands: construct, verify, bounds, search, cases.  Every command
 is deterministic.  Exit codes: 0 success / verified / found, 1 a check
 failed (verification FAIL, or a requested coloring was not found), 2
-usage or input errors.
+usage or input errors, 141 (the shell's SIGPIPE status) when stdout is
+closed early, with no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
@@ -29,6 +31,8 @@ from .search import (
 
 _USAGE_ERROR = 2
 _CHECK_FAILED = 1
+# The shell's status for a process killed by SIGPIPE (128 + 13).
+_BROKEN_PIPE = 141
 
 
 def _read_text(path: str, stdin: TextIO) -> str:
@@ -264,4 +268,12 @@ def run(
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (e.g. `| head`).  Later writes,
+        # the flush at exit included, go to devnull, so none raises again.
+        sys.stdout = open(os.devnull, "w")
+        sys.exit(_BROKEN_PIPE)
+    sys.exit(code)

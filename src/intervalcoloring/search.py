@@ -33,11 +33,12 @@ perfect matching on S_c = {v : a_v <= c <= e_v}.  Phase A picks the
 starts a_v one color at a time; phase B then colors the edges one color
 at a time.  A node is one start decision (the set of vertices that
 start at one color) or one edge placement, and costs more than an edge
-search node.  A node's work is bounded by S_c, the unstarted neighbors
-of started vertices and the twin classes its start set reaches, not by
-every vertex (apart from two list copies when vertices start);
-entering phase B costs O(|E|) plus one matching check per color.
-Prunes:
+search node.  Phase A keeps one start and one lim (start deadline)
+list for the whole probe; each level logs what its choice changed and
+undoes it before its next choice and when it is popped.  A node's work
+is bounded by S_c, the unstarted neighbors of started vertices and the
+twin classes its start set reaches, not by every vertex; entering
+phase B costs O(|E|) plus one matching check per color.  Prunes:
 
 * matching -- every S_c is non-empty and G[S_c] passes a necessary
   check for a perfect matching (forced pairs, then even components:
@@ -45,6 +46,13 @@ Prunes:
   sweep);
 * start deadlines -- an unstarted vertex must start by t - deg + 1 and
   by the end of every started neighbor's palette;
+* color t -- some edge vw takes color t, and no palette goes past t, so
+  both palettes end at t.  Hence some edge must join two vertices whose
+  palettes can still end at t: a started v with a_v + deg(v) - 1 = t,
+  or an unstarted w whose start deadline is still t - deg(w) + 1 (the
+  deadlines only drop).  Phase A keeps that vertex set and the count of
+  edges inside it, updated only where a vertex starts or a deadline
+  drops, and rejects a node that leaves no such edge;
 * earliest deadline first -- edge vw takes a color in
   [max(a_v, a_w), min(e_v, e_w)], distinct at each vertex: checked in
   full for each vertex that starts and, in phase B, for each vertex of
@@ -281,6 +289,7 @@ class _PaletteSweep:
         index = {x: k for k, x in enumerate(self.labels)}
         self.adj = adj = [sorted(map(index.get, adjacency[x])) for x in self.labels]
         self.deg = [len(a) for a in adj]
+        self.max_degree = max(self.deg, default=0)
         self.nbr = [sum(1 << w for w in a) for a in adj]
         self.twins = _twin_classes(self.nbr)  # fixed for the whole sweep
         self.by_degree: dict[int, int] = {}  # degree -> vertices of that degree
@@ -292,18 +301,36 @@ class _PaletteSweep:
     def probe(self, t: int, budget: int) -> SearchOutcome:
         """Decide span t; a node is one start decision or one edge placement."""
         deg, adj, nbr = self.deg, self.adj, self.nbr
-        if t < max(deg) or len(self.edges) < t:
+        if t < self.max_degree or len(self.edges) < t:
             return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, None, 0)
         k = len(deg)
         nodes = 0
         # start[v] == 0 means not started yet.  lim[w] is the last color an
         # unstarted w may start at: its palette must end by t and reach
-        # the end of every started neighbor's palette.  frontier holds the
+        # the end of every started neighbor's palette.  Both lists serve
+        # the whole probe: trail logs each lowered lim as a (w, old) pair,
+        # and a level's entries begin at its mark.  frontier holds the
         # unstarted vertices with a started neighbor: any other unstarted
-        # vertex still has lim t - deg + 1.
-        levels = [self._level(t, 1, [0] * k, [t - d + 1 for d in deg], (1 << k) - 1, 0, 0)]
+        # vertex still has lim t - deg + 1.  ends holds the vertices whose
+        # palette can still end at t, and inside counts the edges with
+        # both ends in ends (the color-t prune).
+        start = [0] * k
+        lim = [t - d + 1 for d in deg]
+        trail: list[int] = []
+        everyone = (1 << k) - 1
+        base, choices = self._level(t, 1, start, lim, everyone, 0, 0)
+        # A level: [c, left, frontier, ends, inside, base, choices, new, trail mark]
+        levels = [[1, everyone, 0, everyone, len(self.edges), base, choices, 0, 0]]
         while levels:
-            c, start, lim, left, frontier, base, choices = levels[-1]
+            level = levels[-1]
+            c, left, frontier, ends, inside, base, choices, new, mark = level
+            if new:  # undo the previous choice
+                level[7] = 0
+                for v in _bits(new):
+                    start[v] = 0
+                for i in range(len(trail) - 2, mark - 1, -2):
+                    lim[trail[i]] = trail[i + 1]
+                del trail[mark:]
             x = next(choices, None)
             if x is None:
                 levels.pop()
@@ -318,21 +345,31 @@ class _PaletteSweep:
                 continue
             new = s & left
             if new:
+                level[7] = new
                 left ^= new
-                start = start.copy()
-                lim = lim.copy()
                 for v in _bits(new):
                     start[v] = c
                     end = c + deg[v] - 1
                     frontier |= nbr[v]
-                    for w in adj[v]:
-                        if lim[w] > end:
+                    if end != t and ends >> v & 1:
+                        ends ^= 1 << v
+                        inside -= (nbr[v] & ends).bit_count()
+                    for w in adj[v]:  # a started vertex's lim is never read again
+                        if left >> w & 1 and lim[w] > end:
+                            trail.append(w)
+                            trail.append(lim[w])
                             lim[w] = end
+                            if ends >> w & 1:
+                                ends ^= 1 << w
+                                inside -= (nbr[w] & ends).bit_count()
+                if not inside:
+                    continue
                 frontier &= left
             if not self._starts_fit(c, s, start, lim, left):
                 continue
             if left:
-                levels.append(self._level(t, c + 1, start, lim, left, frontier, s))
+                base, choices = self._level(t, c + 1, start, lim, left, frontier, s)
+                levels.append([c + 1, left, frontier, ends, inside, base, choices, 0, len(trail)])
                 continue
             outcome = self._color_edges(t, start, budget, nodes)
             if outcome.status is not SearchStatus.EXHAUSTED_NO_SOLUTION:
@@ -343,7 +380,7 @@ class _PaletteSweep:
     def _level(
         self, t: int, c: int, start: list[int], lim: list[int], left: int, frontier: int, prev: int
     ) -> tuple:
-        """Phase A at color c: the state plus the start sets to try.
+        """Phase A at color c: base, who stays or must start, and the start sets to try.
 
         Every vertex of S_{c-1} (prev) whose palette goes on stays, and
         an unstarted w with lim[w] == c must start.  Each other unstarted
@@ -360,8 +397,7 @@ class _PaletteSweep:
             if lim[v] == c:
                 forced |= 1 << v
         base |= forced
-        choices = self._start_sets(left & ~forced, left, base.bit_count() & 1)
-        return c, start, lim, left, frontier, base, choices
+        return base, self._start_sets(left & ~forced, left, base.bit_count() & 1)
 
     def _start_sets(self, optional: int, left: int, parity: int):
         """The sets of optional starters to try, in order.

@@ -1,10 +1,11 @@
 import io
+import sys
 import time
 
 import pytest
 
 from intervalcoloring import complete_graph, emit_graph, graph_from_edges, parse_coloring
-from intervalcoloring.cli import run
+from intervalcoloring.cli import main, run
 
 
 def run_cli(argv, stdin_text=""):
@@ -337,6 +338,25 @@ def test_help_exits_zero():
     assert (code, err) == (0, "")
     assert out.startswith("usage: intervalcoloring")
     assert "exit codes:" in out
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_main_exits_quietly_when_stdout_closes(monkeypatch):
+    # `search - --max | head -1`: the reader goes away mid-output.
+    err = io.StringIO()
+    monkeypatch.setattr("sys.argv", ["intervalcoloring", "search", "-", "--max"])
+    monkeypatch.setattr("sys.stdin", io.StringIO("p 100000 1\ne 1 2\n"))
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    monkeypatch.setattr("sys.stderr", err)
+    with pytest.raises(SystemExit) as exc:
+        main()
+    sys.stdout.close()  # the devnull stream main left in place of the pipe
+    assert exc.value.code == 141
+    assert err.getvalue() == ""
 
 
 def test_each_call_gets_its_own_parser_output():
