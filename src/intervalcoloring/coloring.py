@@ -111,6 +111,19 @@ class EdgeColoring:
         return set(self.assignment.values())
 
 
+def _canonical_coloring(assignment: dict[Edge, int], span_t: int) -> EdgeColoring:
+    """An EdgeColoring over `assignment` itself, built without the checks.
+
+    For library code only, where span_t >= 1, every key is canonical and
+    every color positive.  The caller hands the dict over: it is wrapped
+    read-only, not copied, so no other reference to it may be kept.
+    """
+    c = object.__new__(EdgeColoring)
+    object.__setattr__(c, "assignment", MappingProxyType(assignment))
+    object.__setattr__(c, "span_t", span_t)
+    return c
+
+
 def reflect(coloring: EdgeColoring) -> EdgeColoring:
     """Map every color c to span_t + 1 - c.
 

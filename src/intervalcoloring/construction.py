@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coloring import EdgeColoring
+from .coloring import EdgeColoring, _canonical_coloring
 
 # A case id is an integer 1..8 naming the clause an edge falls under.
 CaseId = int
@@ -136,7 +136,7 @@ def construct(n: int) -> EdgeColoring:
                 else:
                     c = s - 2
             assignment[(i, j)] = c
-    return EdgeColoring(assignment, span_t=3 * n - 2)
+    return _canonical_coloring(assignment, 3 * n - 2)
 
 
 def round_robin(n: int) -> EdgeColoring:

@@ -17,8 +17,10 @@ class Graph:
     Vertices are the integers 1..vertex_count.  Every edge must be a
     canonical pair (i, j) with 1 <= i < j <= vertex_count; the
     constructor checks this and keeps the frozenset it is given (use
-    `graph_from_edges` for pairs in either order).  Instances are
-    immutable and safe to share across threads.  `adjacency` is the one
+    `graph_from_edges` for pairs in either order).  Graphs the library
+    builds from pairs it has just checked, or that are canonical by
+    construction, are not checked again.  Instances are immutable and
+    safe to share across threads.  `adjacency` is the one
     index of the vertices that have an edge: degrees are read from it.
     """
 
@@ -80,11 +82,24 @@ class Graph:
         )
 
 
+def _canonical_graph(vertex_count: int, edges: frozenset[Edge]) -> Graph:
+    """A Graph whose fields the caller vouches for, built without the checks.
+
+    For library code only, where vertex_count >= 1 and every pair was
+    just checked or is canonical by construction; the result equals (and
+    hashes like) ``Graph(vertex_count, edges)``.
+    """
+    g = object.__new__(Graph)
+    object.__setattr__(g, "vertex_count", vertex_count)
+    object.__setattr__(g, "edges", edges)
+    return g
+
+
 def complete_graph(m: int) -> Graph:
     """The complete graph K_m on vertices 1..m (all m(m-1)/2 pairs)."""
     if m < 1:
         raise ValueError(f"complete graph needs m >= 1, got {m}")
-    return Graph(m, frozenset(combinations(range(1, m + 1), 2)))
+    return _canonical_graph(m, frozenset(combinations(range(1, m + 1), 2)))
 
 
 def graph_from_edges(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:

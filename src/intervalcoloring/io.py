@@ -11,16 +11,28 @@ Coloring file::
     e <i> <j> <color>      # one line per edge
 
 Tokens are whitespace-separated; blank lines and lines starting with
-``#`` are ignored.  Emission is canonical (edges sorted, single trailing
-newline) and byte-stable, so emitted files are usable as goldens.
+``#`` are ignored.
+
+Each parser is one pass over the lines: a shared ``_header`` reads the
+header, then the parser's own loop accepts a well-formed edge line with
+one length test, ``int`` on each field and one range test.  Any other
+line goes to the shared ``_reject``, which skips blank and comment
+lines and raises the line's FormatError, so the checks and their order
+live in one place.  The parsed data is checked here once and handed to
+``Graph`` and ``EdgeColoring`` without a second check.
+
+Emission is canonical (pairs sorted, single trailing newline) and
+byte-stable, so emitted files are usable as goldens.  A coloring is
+emitted from its own sorted colored pairs once they are known to be the
+graph's edges.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .coloring import EdgeColoring
-from .graph import Edge, Graph
+from .coloring import EdgeColoring, _canonical_coloring
+from .graph import Edge, Graph, _canonical_graph
 
 
 class FormatError(ValueError):
@@ -42,16 +54,13 @@ def _int_token(token: str, what: str, lineno: int) -> int:
         ) from None
 
 
-def _records(
-    text: str, tag: str, second_field: str, arity: int
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Read a file in one pass, yielding (line number, integer fields).
+def _header(
+    lines: Iterator[tuple[int, str]], tag: str, second_field: str
+) -> tuple[int, int, int]:
+    """Consume `lines` up to the header; return (its line, vertex_count, second field).
 
-    The first item is the header's (vertex_count, second_field); every
-    later one is an 'e' line's `arity` fields, whose endpoints (i, j) are
-    in range and canonical.  Blank and '#' lines are skipped.
+    Blank and '#' lines before the header are skipped.
     """
-    lines = enumerate(text.splitlines(), start=1)
     for lineno, raw in lines:
         tokens = raw.split()
         if tokens and tokens[0][0] != "#":
@@ -72,56 +81,71 @@ def _records(
     second = _int_token(tokens[2], second_field, lineno)
     if vertex_count < 1:
         raise FormatError("malformed-header", "vertex count must be >= 1", lineno)
-    yield lineno, (vertex_count, second)
+    return lineno, vertex_count, second
 
-    for lineno, raw in lines:
-        tokens = raw.split()
-        if not tokens or tokens[0][0] == "#":
-            continue
-        if tokens[0] != "e":
-            raise FormatError(
-                "unknown-directive", f"expected an 'e' line, got {tokens[0]!r}", lineno
-            )
-        if len(tokens) != arity + 1:
-            raise FormatError(
-                "malformed-edge", f"'e' line needs {arity} integer fields", lineno
-            )
-        try:
-            fields = tuple(map(int, tokens[1:]))
-        except ValueError:  # re-read to name the first bad token
-            fields = tuple([_int_token(t, "edge field", lineno) for t in tokens[1:]])
-        i, j = fields[0], fields[1]
-        if not (1 <= i <= vertex_count and 1 <= j <= vertex_count):
-            raise FormatError(
-                "id-out-of-range",
-                f"vertex ids ({i}, {j}) out of range 1..{vertex_count}",
-                lineno,
-            )
-        if i >= j:
-            raise FormatError(
-                "noncanonical-edge", f"edge ({i}, {j}) must satisfy i < j", lineno
-            )
-        yield lineno, fields
+
+def _reject(tokens: list[str], lineno: int, vertex_count: int, arity: int) -> None:
+    """Diagnose a line that a parser's fast path did not accept.
+
+    Returns for a blank or '#' line; otherwise raises the FormatError of
+    the first check the line fails: unknown-directive, malformed-edge,
+    bad-token (naming the first bad token), id-out-of-range, and last
+    noncanonical-edge, the one failure the fast path's test
+    ``0 < i < j <= vertex_count`` leaves once both ids are in range.
+    """
+    if not tokens or tokens[0][0] == "#":
+        return
+    if tokens[0] != "e":
+        raise FormatError(
+            "unknown-directive", f"expected an 'e' line, got {tokens[0]!r}", lineno
+        )
+    if len(tokens) != arity + 1:
+        raise FormatError(
+            "malformed-edge", f"'e' line needs {arity} integer fields", lineno
+        )
+    i, j = [_int_token(t, "edge field", lineno) for t in tokens[1:]][:2]
+    if not (1 <= i <= vertex_count and 1 <= j <= vertex_count):
+        raise FormatError(
+            "id-out-of-range",
+            f"vertex ids ({i}, {j}) out of range 1..{vertex_count}",
+            lineno,
+        )
+    raise FormatError(
+        "noncanonical-edge", f"edge ({i}, {j}) must satisfy i < j", lineno
+    )
 
 
 def parse_graph(text: str) -> Graph:
     """Parse a graph file; all malformations raise FormatError."""
-    records = _records(text, "p", "edge_count", 2)
-    header_line, (vertex_count, edge_count) = next(records)
+    lines = enumerate(text.splitlines(), start=1)
+    header_line, vertex_count, edge_count = _header(lines, "p", "edge_count")
     if edge_count < 0:
         raise FormatError("malformed-header", "edge count must be >= 0", header_line)
     edges: set[Edge] = set()
-    for lineno, edge in records:
-        if edge in edges:
-            raise FormatError("duplicate-edge", f"duplicate edge {edge}", lineno)
-        edges.add(edge)
+    for lineno, raw in lines:
+        tokens = raw.split()
+        if len(tokens) == 3 and tokens[0] == "e":
+            try:
+                i = int(tokens[1])
+                j = int(tokens[2])
+            except ValueError:
+                i = 0  # fails the range test, so _reject names the bad token
+            if 0 < i < j <= vertex_count:
+                edge = (i, j)
+                if edge in edges:
+                    raise FormatError(
+                        "duplicate-edge", f"duplicate edge {edge}", lineno
+                    )
+                edges.add(edge)
+                continue
+        _reject(tokens, lineno, vertex_count, 2)
     if len(edges) != edge_count:
         raise FormatError(
             "count-mismatch",
             f"header declares {edge_count} edges but file has {len(edges)}",
             header_line,
         )
-    return Graph(vertex_count, frozenset(edges))
+    return _canonical_graph(vertex_count, frozenset(edges))
 
 
 def emit_graph(g: Graph) -> str:
@@ -140,8 +164,8 @@ def parse_coloring_with_graph(
     (unknown-edge / missing-edge errors otherwise).  Without it, the
     graph is reconstructed from the edge lines themselves.
     """
-    records = _records(text, "c", "span_t", 3)
-    header_line, (vertex_count, span_t) = next(records)
+    lines = enumerate(text.splitlines(), start=1)
+    header_line, vertex_count, span_t = _header(lines, "c", "span_t")
     if span_t < 1:
         raise FormatError("malformed-header", "span must be >= 1", header_line)
     if graph is not None and graph.vertex_count != vertex_count:
@@ -150,28 +174,44 @@ def parse_coloring_with_graph(
             f"file has {vertex_count} vertices, graph has {graph.vertex_count}",
             header_line,
         )
+    known = None if graph is None else graph.edges
     assignment: dict[Edge, int] = {}
-    for lineno, (i, j, color) in records:
-        edge = (i, j)
-        if edge in assignment:
-            raise FormatError("duplicate-edge", f"duplicate edge {edge}", lineno)
-        if not 1 <= color <= span_t:
-            raise FormatError(
-                "color-out-of-range", f"color {color} outside 1..{span_t}", lineno
-            )
-        if graph is not None and edge not in graph.edges:
-            raise FormatError(
-                "unknown-edge", f"edge {edge} is not in the graph", lineno
-            )
-        assignment[edge] = color
+    for lineno, raw in lines:
+        tokens = raw.split()
+        if len(tokens) == 4 and tokens[0] == "e":
+            try:
+                i = int(tokens[1])
+                j = int(tokens[2])
+                color = int(tokens[3])
+            except ValueError:
+                i = 0  # fails the range test, so _reject names the bad token
+            if 0 < i < j <= vertex_count:
+                edge = (i, j)
+                if edge in assignment:
+                    raise FormatError(
+                        "duplicate-edge", f"duplicate edge {edge}", lineno
+                    )
+                if not 0 < color <= span_t:
+                    raise FormatError(
+                        "color-out-of-range",
+                        f"color {color} outside 1..{span_t}",
+                        lineno,
+                    )
+                if known is not None and edge not in known:
+                    raise FormatError(
+                        "unknown-edge", f"edge {edge} is not in the graph", lineno
+                    )
+                assignment[edge] = color
+                continue
+        _reject(tokens, lineno, vertex_count, 3)
     if graph is None:
-        graph = Graph(vertex_count, frozenset(assignment))
+        graph = _canonical_graph(vertex_count, frozenset(assignment))
     elif len(assignment) != graph.edge_count:  # every line named a graph edge
         missing = min(graph.edges - assignment.keys())
         raise FormatError(
             "missing-edge", f"graph edge {missing} has no line in the file", header_line
         )
-    return graph, EdgeColoring(assignment, span_t)
+    return graph, _canonical_coloring(assignment, span_t)
 
 
 def parse_coloring(text: str, graph: Graph | None = None) -> EdgeColoring:
@@ -182,13 +222,12 @@ def parse_coloring(text: str, graph: Graph | None = None) -> EdgeColoring:
 def emit_coloring(g: Graph, coloring: EdgeColoring) -> str:
     """Canonical coloring-file text; requires exactly the edges of g colored."""
     assignment = coloring.assignment
-    lines = [f"c {g.vertex_count} {coloring.span_t}"]
-    for i, j in g.sorted_edges:
-        c = assignment.get((i, j))
-        if c is None:
-            raise ValueError(f"edge ({i}, {j}) has no color")
-        lines.append(f"e {i} {j} {c}")
-    if len(assignment) != g.edge_count:  # every edge was found, so some pair is extra
+    if assignment.keys() != g.edges:
+        missing = g.edges - assignment.keys()
+        if missing:
+            raise ValueError(f"edge {min(missing)} has no color")
         extra = min(assignment.keys() - g.edges)
         raise ValueError(f"colored pair {extra} is not an edge of the graph")
+    lines = [f"c {g.vertex_count} {coloring.span_t}"]
+    lines.extend([f"e {i} {j} {assignment[i, j]}" for i, j in sorted(assignment)])
     return "\n".join(lines) + "\n"

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from intervalcoloring import graph as graph_module
 from intervalcoloring import (
     Graph,
     bounds_for_graph,
@@ -170,6 +171,19 @@ def test_bounds_for_k2n_builds_no_graph(monkeypatch, n):
         ("triangle-free", 1 if n == 1 else None),
     ]
     assert all(e.applicable == (e.value is not None) for e in entries)
+
+
+@pytest.mark.parametrize("n", [1, 2, 500])
+def test_bounds_for_k2n_builds_no_graph_unchecked_either(monkeypatch, n):
+    # complete_graph and the parsers build graphs without Graph.__post_init__.
+    def no_graph(*args):
+        raise AssertionError("bounds_for_k2n built a Graph")
+
+    monkeypatch.setattr(Graph, "__post_init__", no_graph)
+    monkeypatch.setattr(graph_module, "_canonical_graph", no_graph)
+    with pytest.raises(AssertionError):
+        complete_graph(2)
+    assert bounds_for_k2n(n).best_lower == 3 * n - 2
 
 
 def test_bounds_for_graph_work_is_not_sized_by_the_header():

@@ -4,6 +4,7 @@ import pytest
 
 from intervalcoloring import (
     CASE_COUNT,
+    EdgeColoring,
     case_color,
     case_statistics,
     classify_edge,
@@ -193,3 +194,17 @@ def test_empty_cases_at_small_n():
     stats = {s.case: s.edge_count for s in case_statistics(2)}
     assert stats[7] == 0
     assert stats[2] == 0 and stats[3] == 0 and stats[5] == 0
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_construct_equals_its_checked_twin(n):
+    # The twin colors each edge through the public clause classifier and
+    # goes through the checking constructor.
+    twin = EdgeColoring(
+        {
+            (i, j): case_color(n, i, j, classify_edge(n, i, j))
+            for i, j in combinations(range(1, 2 * n + 1), 2)
+        },
+        3 * n - 2,
+    )
+    assert construct(n) == twin

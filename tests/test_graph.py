@@ -1,6 +1,11 @@
-import pytest
+from itertools import combinations
 
+import pytest
+from hypothesis import given, settings
+
+from conftest import graphs
 from intervalcoloring import Graph, complete_graph, graph_from_edges, is_triangle_free
+from intervalcoloring.graph import _canonical_graph
 
 
 def test_complete_graph_smallest():
@@ -117,3 +122,22 @@ def test_incident_edges_and_adjacency():
     isolated = graph_from_edges(5, [(1, 2)])
     assert set(isolated.adjacency) == {1, 2}
     assert isolated.incident_edges(5) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs())
+def test_unchecked_graph_equals_the_checked_one(g):
+    checked = Graph(g.vertex_count, g.edges)
+    unchecked = _canonical_graph(g.vertex_count, g.edges)
+    assert unchecked == checked
+    assert hash(unchecked) == hash(checked)
+    assert unchecked.edges is g.edges
+    assert unchecked.sorted_edges == checked.sorted_edges
+    assert unchecked.adjacency == checked.adjacency
+
+
+@pytest.mark.parametrize("m", range(1, 21))
+def test_complete_graph_equals_its_checked_twin(m):
+    twin = Graph(m, frozenset(combinations(range(1, m + 1), 2)))
+    assert complete_graph(m) == twin
+    assert hash(complete_graph(m)) == hash(twin)

@@ -1,11 +1,21 @@
+import gc
+from itertools import combinations
+from types import FrameType, MappingProxyType
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import colored_graphs, graphs
+from conftest import (
+    colored_graphs,
+    graphs,
+    reference_parse_coloring_with_graph,
+    reference_parse_graph,
+)
 from intervalcoloring import (
     EdgeColoring,
     FormatError,
+    Graph,
     complete_graph,
     construct,
     emit_coloring,
@@ -209,3 +219,158 @@ def test_parsers_reject_noise_with_format_errors_only(text):
             parser(text)
         except FormatError:
             pass
+
+
+def test_emit_coloring_sorts_pairs_inserted_in_any_order():
+    for n in range(1, 8):
+        g = complete_graph(2 * n)
+        c = construct(n)
+        backwards = EdgeColoring(dict(reversed(c.assignment.items())), c.span_t)
+        assert emit_coloring(g, backwards) == emit_coloring(g, c)
+
+
+def test_emit_coloring_names_the_smallest_missing_edge_before_any_extra_pair():
+    # (1, 2) is not an edge and sorts first; (2, 4) and (3, 4) have no color.
+    g = graph_from_edges(4, [(1, 3), (2, 3), (2, 4), (3, 4)])
+    c = EdgeColoring({(1, 2): 1, (1, 3): 1, (2, 3): 2}, span_t=2)
+    with pytest.raises(ValueError) as exc:
+        emit_coloring(g, c)
+    assert str(exc.value) == "edge (2, 4) has no color"
+
+
+def test_emit_coloring_names_the_smallest_extra_pair():
+    c = EdgeColoring({(1, 2): 1, (3, 9): 1, (2, 5): 1}, span_t=1)
+    with pytest.raises(ValueError) as exc:
+        emit_coloring(complete_graph(2), c)
+    assert str(exc.value) == "colored pair (2, 5) is not an edge of the graph"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: parse_coloring(emit_coloring(complete_graph(6), construct(3))),
+     lambda: construct(3)],
+    ids=["parse_coloring", "construct"],
+)
+def test_unchecked_coloring_is_read_only_and_holds_the_only_reference(make):
+    c = make()
+    assert type(c.assignment) is MappingProxyType
+    with pytest.raises(TypeError):
+        c.assignment[(1, 2)] = 1  # type: ignore[index]
+    (inner,) = [r for r in gc.get_referents(c.assignment) if type(r) is dict]
+    holders = [r for r in gc.get_referrers(inner) if not isinstance(r, FrameType)]
+    assert len(holders) == 1 and holders[0] is c.assignment
+
+
+# ------------------------------------------------------------------ oracle
+# The library's parsers against the reference parsers in conftest.py, on
+# valid files with a few lines mutated.  Either both return equal values
+# or both raise a FormatError with the same kind, line and message.
+
+MUTATIONS = (
+    "drop", "extra", "swap", "plus", "underscore", "bad-token", "separator",
+    "comment", "blank", "id-range", "color-range", "repeat", "delete", "directive",
+)
+SEPARATORS = ("\t", "\x0c", "\xa0", "  ", " \t ")
+
+
+@st.composite
+def mutated(draw, text: str, vertex_count: int, span: int) -> str:
+    """`text` with up to four mutations, each at a drawn line.
+
+    The header is drawn one time in eight, so most files get past it.
+    """
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        at_header = len(lines) == 1 or draw(st.integers(0, 7)) == 7
+        k = 0 if at_header else draw(st.integers(1, len(lines) - 1))
+        tokens = lines[k].split()
+        index = draw(st.integers(0, max(len(tokens) - 1, 0)))
+        sep = " "
+        kind = draw(st.sampled_from(MUTATIONS))
+        if kind == "comment":
+            lines.insert(k, "# " + draw(st.sampled_from(["note", "e 1 2", ""])))
+            continue
+        if kind == "blank":
+            lines.insert(k, draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        if kind == "repeat":
+            lines.insert(k, lines[k])
+            continue
+        if kind == "delete" and len(lines) > 1:
+            del lines[k]
+            continue
+        if kind == "drop" and tokens:
+            del tokens[index]
+        elif kind == "extra":
+            tokens.insert(index + 1, draw(st.sampled_from(["1", "0", "x", "e", "#"])))
+        elif kind == "swap" and len(tokens) >= 3:
+            tokens[1], tokens[2] = tokens[2], tokens[1]
+        elif kind == "plus" and tokens:
+            tokens[index] = "+" + tokens[index]
+        elif kind == "underscore" and tokens:
+            tokens[index] = draw(st.sampled_from(["1_0", "1_" + tokens[index]]))
+        elif kind == "bad-token" and tokens:
+            tokens[index] = draw(st.sampled_from(["x", "1.0", "0x1", "2e0", "1-"]))
+        elif kind == "separator":
+            sep = draw(st.sampled_from(SEPARATORS))
+        elif kind == "id-range" and len(tokens) >= 3:
+            bad = draw(st.sampled_from([0, -1, vertex_count + 1]))
+            tokens[draw(st.sampled_from([1, 2]))] = str(bad)
+        elif kind == "color-range" and len(tokens) == 4:
+            tokens[3] = str(draw(st.sampled_from([0, -2, span + 1])))
+        elif kind == "directive" and tokens:
+            tokens[0] = draw(st.sampled_from(["q", "E", "ee"]))
+        lines[k] = sep.join(tokens)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _outcome(parse, *args):
+    try:
+        return "ok", parse(*args)
+    except FormatError as exc:
+        return "error", exc.kind, exc.line, str(exc)
+
+
+@st.composite
+def sources(draw):
+    """A graph with at least one edge, and an arbitrary coloring of it."""
+    nv = draw(st.integers(2, 7))
+    pairs = list(combinations(range(1, nv + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    span = draw(st.integers(1, 9))
+    assignment = {e: draw(st.integers(1, span)) for e in sorted(edges)}
+    return Graph(nv, frozenset(edges)), EdgeColoring(assignment, span)
+
+
+@st.composite
+def mutated_graph_files(draw):
+    g, _ = draw(sources())
+    return draw(mutated(emit_graph(g), g.vertex_count, 0))
+
+
+@st.composite
+def mutated_coloring_files(draw):
+    g, c = draw(sources())
+    text = draw(mutated(emit_coloring(g, c), g.vertex_count, c.span_t))
+    given = draw(st.sampled_from(["none", "same", "other"]))
+    if given == "none":
+        return text, None
+    if given == "same":
+        return text, g
+    m = g.vertex_count
+    return text, draw(graphs(min_vertices=m, max_vertices=m + draw(st.integers(0, 1))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_graph_files())
+def test_parse_graph_agrees_with_the_reference_parser(text):
+    assert _outcome(parse_graph, text) == _outcome(reference_parse_graph, text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_coloring_files())
+def test_parse_coloring_agrees_with_the_reference_parser(case):
+    text, graph = case
+    assert _outcome(parse_coloring_with_graph, text, graph) == _outcome(
+        reference_parse_coloring_with_graph, text, graph
+    )
