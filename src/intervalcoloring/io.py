@@ -228,6 +228,12 @@ def emit_coloring(g: Graph, coloring: EdgeColoring) -> str:
             raise ValueError(f"edge {min(missing)} has no color")
         extra = min(assignment.keys() - g.edges)
         raise ValueError(f"colored pair {extra} is not an edge of the graph")
-    lines = [f"c {g.vertex_count} {coloring.span_t}"]
+    return _write_coloring(g.vertex_count, coloring)
+
+
+def _write_coloring(vertex_count: int, coloring: EdgeColoring) -> str:
+    """Canonical text of a coloring whose pairs are known to be the graph's edges."""
+    assignment = coloring.assignment
+    lines = [f"c {vertex_count} {coloring.span_t}"]
     lines.extend([f"e {i} {j} {assignment[i, j]}" for i, j in sorted(assignment)])
     return "\n".join(lines) + "\n"

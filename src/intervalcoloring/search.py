@@ -1,44 +1,24 @@
-"""Exact search for interval edge colorings: two engines.
+"""Exact search for interval edge colorings on the palette-start engine.
 
-Every prune in both engines is a necessary condition, so an exhausted
-search is a proof of nonexistence; a budget stop proves nothing.
+Every prune is a necessary condition, so an exhausted search is a proof
+of nonexistence; a budget stop proves nothing.
 
-`find_interval_coloring` (CLI `search --t`) is the edge search, the
-reference oracle whose node counts are pinned.  It decides, for a fixed
-span t, whether a graph admits an interval t-coloring.  Edges are
-colored one at a time in lexicographic (i, j) order; a node is one edge
-placement.  Prunes:
-
-* properness  -- a color may not repeat at a vertex;
-* gap filling -- a vertex's palette is deg consecutive colors that
-  cover the colors already placed there, so a new color must lie in
-  [max - deg + 1, min + deg - 1].  This window is the "range span <=
-  degree" check, and once the last incident edge is placed it forces
-  the palette to be a consecutive block of exactly deg colors;
-* color usage -- colors still unused must not outnumber the edges still
-  uncolored (at completion this forces every color 1..t onto an edge);
-* reflection symmetry breaking -- valid colorings map onto valid
-  colorings under c -> t+1-c, so the first edge only tries the lower
-  half of the palette.
-
-Per-vertex state is one bitmask of placed colors (its highest and
-lowest set bits are the max and min) plus the degree, kept only for
-the vertices that have an edge.
-
-`compute_max_span` (CLI `search --max`) probes spans downward from
-`span_cap` (the refined and general upper bounds) and runs every probe
-on the palette-start engine, prepared once per sweep.  Vertex v's
-palette is [a_v, e_v] with e_v = a_v + deg(v) - 1, so color c is a
-perfect matching on S_c = {v : a_v <= c <= e_v}.  Phase A picks the
-starts a_v one color at a time; phase B then colors the edges one color
-at a time.  A node is one start decision (the set of vertices that
-start at one color) or one edge placement, and costs more than an edge
-search node.  Phase A keeps one start and one lim (start deadline)
-list for the whole probe; each level logs what its choice changed and
-undoes it before its next choice and when it is popped.  A node's work
-is bounded by S_c, the unstarted neighbors of started vertices and the
-twin classes its start set reaches, not by every vertex; entering
-phase B costs O(|E|) plus one matching check per color.  Prunes:
+`find_interval_coloring` (CLI `search --t`) decides, for a fixed span
+t, whether a graph admits an interval t-coloring.  `compute_max_span`
+(CLI `search --max`) probes spans downward from `span_cap` (the refined
+and general upper bounds), with the engine prepared once per sweep.
+Both run every probe on `_PaletteSweep`.  Vertex v's palette is
+[a_v, e_v] with e_v = a_v + deg(v) - 1, so color c is a perfect
+matching on S_c = {v : a_v <= c <= e_v}.  Phase A picks the starts a_v
+one color at a time; phase B then colors the edges one color at a time.
+A node is one start decision (the set of vertices that start at one
+color) or one edge placement.  Phase A keeps one start and one lim
+(start deadline) list for the whole probe; each level logs what its
+choice changed and undoes it before its next choice and when it is
+popped.  A node's work is bounded by S_c, the unstarted neighbors of
+started vertices and the twin classes its start set reaches, not by
+every vertex; entering phase B costs O(|E|) plus one matching check per
+color.  Prunes:
 
 * matching -- every S_c is non-empty and G[S_c] passes a necessary
   check for a perfect matching (forced pairs, then even components:
@@ -73,8 +53,8 @@ from .bounds import span_cap
 from .coloring import EdgeColoring
 from .graph import Graph
 
-# Two orders of magnitude above the ~5.7e4 nodes a full K_6 span-8
-# exhaustion takes, so stock settings settle every desk-scale workload.
+# About six times the ~8.8e5 nodes that exhaust K_20 span 36, so stock
+# settings settle every desk-scale workload.
 DEFAULT_NODE_BUDGET = 5_000_000
 
 
@@ -88,7 +68,8 @@ class SearchStatus(Enum):
 class SearchConfig:
     """Span target plus node budget.
 
-    node_budget counts edge placements; 0 means unlimited.
+    node_budget counts start decisions and edge placements; 0 means
+    unlimited.
     """
 
     t: int
@@ -121,80 +102,9 @@ def find_interval_coloring(g: Graph, cfg: SearchConfig) -> SearchOutcome:
     means the node budget ran out first and proves nothing.  Identical
     inputs give identical outcomes and node counts.
     """
-    t = cfg.t
-    edges = g.sorted_edges
-    num_edges = len(edges)
-    # State is indexed 1..k over the k vertices that have an edge, in
-    # ascending order, so isolated vertices named by the header cost nothing.
-    adjacency = g.adjacency
-    index = {x: k for k, x in enumerate(sorted(adjacency), 1)}
-    pairs = [(index[i], index[j]) for i, j in edges]
-    deg = [0, *(len(adjacency[x]) for x in index)]
-    # Degree and color-count prerequisites; both are necessary conditions.
-    if t < max(deg) or num_edges < t:
+    if cfg.t < g.max_degree or g.edge_count < cfg.t:  # hopeless: no set-up
         return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, None, 0)
-
-    budget = cfg.node_budget
-    used = [0] * len(deg)  # per-vertex bitmask of incident colors
-    use_cnt = [0] * (t + 1)
-    fresh = (1 << t + 1) - 2  # bitmask of colors on no edge yet
-
-    placed = [0] * num_edges
-    nodes = 0
-    depth = 0
-    start_color = 1
-
-    while True:
-        u, v = pairs[depth]
-        used_u = used[u]
-        used_v = used[v]
-        lo = start_color
-        hi = (t + 1) // 2 if depth == 0 else t
-        # Gap-filling window: [max - deg + 1, min + deg - 1] at each endpoint
-        # that already has a color (bit_length() - 1 is the max color, the
-        # lowest set bit the min).
-        if used_u:
-            lo = max(lo, used_u.bit_length() - deg[u])
-            hi = min(hi, (used_u & -used_u).bit_length() + deg[u] - 2)
-        if used_v:
-            lo = max(lo, used_v.bit_length() - deg[v])
-            hi = min(hi, (used_v & -used_v).bit_length() + deg[v] - 2)
-
-        # Colors lo..hi free at both ends; when the unused colors match the
-        # edges left, each remaining edge must take a color not yet placed.
-        cand = ((1 << hi + 1) - 1) >> lo << lo & ~(used_u | used_v)
-        if fresh.bit_count() == num_edges - depth:
-            cand &= fresh
-        if cand:
-            chosen = (cand & -cand).bit_length() - 1
-            if budget and nodes == budget:
-                return SearchOutcome(SearchStatus.BUDGET_EXCEEDED, None, nodes)
-            nodes += 1
-            placed[depth] = chosen
-            bit = 1 << chosen
-            used[u] = used_u | bit
-            used[v] = used_v | bit
-            if use_cnt[chosen] == 0:
-                fresh ^= bit
-            use_cnt[chosen] += 1
-            depth += 1
-            if depth == num_edges:
-                witness = EdgeColoring(dict(zip(edges, placed)), span_t=t)
-                return SearchOutcome(SearchStatus.FOUND, witness, nodes)
-            start_color = 1
-        else:
-            if depth == 0:
-                return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, None, nodes)
-            depth -= 1
-            u, v = pairs[depth]
-            c = placed[depth]
-            bit = 1 << c
-            used[u] ^= bit
-            used[v] ^= bit
-            use_cnt[c] -= 1
-            if use_cnt[c] == 0:
-                fresh |= bit
-            start_color = c + 1
+    return _PaletteSweep(g).probe(cfg.t, cfg.node_budget)
 
 
 def _twin_classes(nbr: list[int]) -> list[int]:

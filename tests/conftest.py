@@ -8,7 +8,7 @@ from typing import Iterator
 
 from hypothesis import strategies as st
 
-from intervalcoloring import EdgeColoring, FormatError, Graph
+from intervalcoloring import EdgeColoring, FormatError, Graph, SearchOutcome, SearchStatus
 
 
 def brute_force_exists(g: Graph, t: int) -> bool:
@@ -53,6 +53,102 @@ def brute_force_exists(g: Graph, t: int) -> bool:
         return False
 
     return rec(0)
+
+
+def edge_search(g: Graph, t: int, budget: int) -> SearchOutcome:
+    """Reference engine: the edge search that `search --t` ran before it
+    moved onto the palette sweep.  Shares no code with the search module.
+
+    Edges are colored one at a time in lexicographic (i, j) order; a node
+    is one edge placement and budget caps the nodes (0 means unlimited).
+    Prunes, each a necessary condition:
+
+    * properness  -- a color may not repeat at a vertex;
+    * gap filling -- a vertex's palette is deg consecutive colors that
+      cover the colors already placed there, so a new color must lie in
+      [max - deg + 1, min + deg - 1];
+    * color usage -- colors still unused must not outnumber the edges
+      still uncolored (at completion every color 1..t is on an edge);
+    * reflection symmetry breaking -- valid colorings map onto valid
+      colorings under c -> t+1-c, so the first edge only tries the lower
+      half of the palette.
+
+    Per-vertex state is one bitmask of placed colors (its highest and
+    lowest set bits are the max and min) plus the degree, kept only for
+    the vertices that have an edge.
+    """
+    edges = g.sorted_edges
+    num_edges = len(edges)
+    # State is indexed 1..k over the k vertices that have an edge, in
+    # ascending order, so isolated vertices named by the header cost nothing.
+    adjacency = g.adjacency
+    index = {x: k for k, x in enumerate(sorted(adjacency), 1)}
+    pairs = [(index[i], index[j]) for i, j in edges]
+    deg = [0, *(len(adjacency[x]) for x in index)]
+    # Degree and color-count prerequisites; both are necessary conditions.
+    if t < max(deg) or num_edges < t:
+        return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, None, 0)
+
+    used = [0] * len(deg)  # per-vertex bitmask of incident colors
+    use_cnt = [0] * (t + 1)
+    fresh = (1 << t + 1) - 2  # bitmask of colors on no edge yet
+
+    placed = [0] * num_edges
+    nodes = 0
+    depth = 0
+    start_color = 1
+
+    while True:
+        u, v = pairs[depth]
+        used_u = used[u]
+        used_v = used[v]
+        lo = start_color
+        hi = (t + 1) // 2 if depth == 0 else t
+        # Gap-filling window: [max - deg + 1, min + deg - 1] at each endpoint
+        # that already has a color (bit_length() - 1 is the max color, the
+        # lowest set bit the min).
+        if used_u:
+            lo = max(lo, used_u.bit_length() - deg[u])
+            hi = min(hi, (used_u & -used_u).bit_length() + deg[u] - 2)
+        if used_v:
+            lo = max(lo, used_v.bit_length() - deg[v])
+            hi = min(hi, (used_v & -used_v).bit_length() + deg[v] - 2)
+
+        # Colors lo..hi free at both ends; when the unused colors match the
+        # edges left, each remaining edge must take a color not yet placed.
+        cand = ((1 << hi + 1) - 1) >> lo << lo & ~(used_u | used_v)
+        if fresh.bit_count() == num_edges - depth:
+            cand &= fresh
+        if cand:
+            chosen = (cand & -cand).bit_length() - 1
+            if budget and nodes == budget:
+                return SearchOutcome(SearchStatus.BUDGET_EXCEEDED, None, nodes)
+            nodes += 1
+            placed[depth] = chosen
+            bit = 1 << chosen
+            used[u] = used_u | bit
+            used[v] = used_v | bit
+            if use_cnt[chosen] == 0:
+                fresh ^= bit
+            use_cnt[chosen] += 1
+            depth += 1
+            if depth == num_edges:
+                witness = EdgeColoring(dict(zip(edges, placed)), span_t=t)
+                return SearchOutcome(SearchStatus.FOUND, witness, nodes)
+            start_color = 1
+        else:
+            if depth == 0:
+                return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, None, nodes)
+            depth -= 1
+            u, v = pairs[depth]
+            c = placed[depth]
+            bit = 1 << c
+            used[u] ^= bit
+            used[v] ^= bit
+            use_cnt[c] -= 1
+            if use_cnt[c] == 0:
+                fresh |= bit
+            start_color = c + 1
 
 
 def _int_token(token: str, what: str, lineno: int) -> int:

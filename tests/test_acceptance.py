@@ -32,6 +32,8 @@ from intervalcoloring import (
 )
 from intervalcoloring import search
 
+from conftest import edge_search
+
 
 def _report(name: str) -> None:
     print(f"[acceptance] {name}: PASS")
@@ -86,7 +88,12 @@ def test_criterion_5_k6_bracket_resolved_honestly():
     assert probe7.status is SearchStatus.FOUND
     assert verify_interval(g, probe7.coloring).verdict
 
+    # Two derivations of span 8: the palette sweep behind
+    # find_interval_coloring, and the independent edge-search oracle.
     probe8 = find_interval_coloring(g, SearchConfig(t=8))
+    oracle8 = edge_search(g, 8, 0)  # unlimited, so it decides
+    if probe8.status is not SearchStatus.BUDGET_EXCEEDED:
+        assert probe8.status is oracle8.status
     if probe8.status is SearchStatus.FOUND:
         assert verify_interval(g, probe8.coloring).verdict
         resolution = "max span of K_6 = 8 exactly"
@@ -101,7 +108,8 @@ def test_criterion_5_k6_bracket_resolved_honestly():
         assert lower <= exact <= upper
     _report(
         f"K_6 bracket: span 7 found ({probe7.nodes_explored} nodes); "
-        f"span 8 {probe8.status.value} ({probe8.nodes_explored} nodes); {resolution}"
+        f"span 8 {probe8.status.value} ({probe8.nodes_explored} nodes; edge-search "
+        f"oracle {oracle8.status.value} in {oracle8.nodes_explored} nodes); {resolution}"
     )
 
 
@@ -170,8 +178,9 @@ def test_criterion_9_max_span_of_k6_and_k8_settled(monkeypatch):
             (span, SearchStatus.FOUND),
         ]
         assert verify_interval(g, result.witness).verdict, m
-    # Re-derivations of the two exhausted probes: the edge search exhausts
-    # K_6 t=8 in 56,350 nodes (criterion 5, and pinned in test_search.py);
+    # Re-derivations of the two exhausted probes: the edge-search oracle
+    # exhausts K_6 t=8 in 56,350 nodes (criterion 5, and pinned in
+    # test_search.py);
     # the sweep with its twin rule off exhausts K_8 t=12 on its own.
     monkeypatch.setattr(
         search, "_twin_classes", lambda nbr: [1 << v for v in range(len(nbr))]

@@ -4,7 +4,16 @@ import time
 
 import pytest
 
-from intervalcoloring import complete_graph, emit_graph, graph_from_edges, parse_coloring
+from intervalcoloring import (
+    Graph,
+    complete_graph,
+    construct,
+    emit_coloring,
+    emit_graph,
+    graph_from_edges,
+    parse_coloring,
+)
+from intervalcoloring import graph as graph_module
 from intervalcoloring.cli import main, run
 
 
@@ -29,6 +38,18 @@ def test_construct_to_file(tmp_path):
     code, out, _ = run_cli(["construct", "--n", "2", "--out", str(path)])
     assert code == 0 and out == ""
     assert path.read_text().splitlines()[0] == "c 4 4"
+
+
+def test_construct_builds_no_graph_and_writes_the_checked_text(monkeypatch):
+    expected = {n: emit_coloring(complete_graph(2 * n), construct(n)) for n in (1, 2, 3, 7, 60)}
+
+    def no_graph(*args):
+        raise AssertionError("construct built a Graph")
+
+    monkeypatch.setattr(Graph, "__post_init__", no_graph)
+    monkeypatch.setattr(graph_module, "_canonical_graph", no_graph)
+    for n, text in expected.items():
+        assert run_cli(["construct", "--n", str(n)]) == (0, text, ""), n
 
 
 def test_write_failure_is_usage_error(tmp_path):
@@ -110,7 +131,7 @@ def test_search_work_is_bounded_by_the_edges_not_the_header():
     elapsed = time.perf_counter() - start
     assert code == 0
     assert out.splitlines()[0] == (
-        "search t=1 on 1000000000 vertices, 1 edges: found (nodes=1)"
+        "search t=1 on 1000000000 vertices, 1 edges: found (nodes=2)"
     )
     assert elapsed < 1.0
 
@@ -267,9 +288,10 @@ def test_search_max_reports_budget_gap_honestly(tmp_path):
 def test_search_budget_flag(tmp_path):
     gpath = tmp_path / "k6.graph"
     gpath.write_text(emit_graph(complete_graph(6)))
-    code, out, _ = run_cli(["search", str(gpath), "--t", "8", "--budget", "50"])
+    # K_6 span 8 exhausts in 14 nodes, so a budget of 5 stops first.
+    code, out, _ = run_cli(["search", str(gpath), "--t", "8", "--budget", "5"])
     assert code == 1
-    assert "budget-exceeded" in out
+    assert "budget-exceeded (nodes=5)" in out
 
 
 def test_search_reads_graph_from_stdin():

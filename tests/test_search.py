@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_labeled_graphs, brute_force_exists, canonical_graphs_upto
+from conftest import all_labeled_graphs, brute_force_exists, canonical_graphs_upto, edge_search
 from intervalcoloring import (
     Graph,
     SearchConfig,
@@ -22,6 +22,7 @@ from intervalcoloring import (
     span_cap,
     verify_interval,
 )
+from intervalcoloring import search
 from intervalcoloring.search import _PaletteSweep, _may_match, _twin_classes
 
 
@@ -74,7 +75,7 @@ def test_edgeless_graph_has_no_interval_coloring():
 
 def test_budget_exceeded_is_not_a_claim():
     g = complete_graph(6)
-    out = find_interval_coloring(g, SearchConfig(t=8, node_budget=50))
+    out = edge_search(g, 8, 50)
     assert out.status is SearchStatus.BUDGET_EXCEEDED
     assert out.nodes_explored == 50
     assert out.coloring is None
@@ -90,12 +91,38 @@ def test_search_is_deterministic():
 
 def test_found_at_budget_boundary_still_found():
     g = complete_graph(2)
-    out = find_interval_coloring(g, SearchConfig(t=1, node_budget=1))
+    out = edge_search(g, 1, 1)
     assert out.found
     assert out.nodes_explored == 1
 
 
-# The search walks g.sorted_edges, so witnesses list edges in that order.
+def test_find_at_budget_boundary_still_found():
+    # One start decision, then one edge placement: found on the budget-th node.
+    g = complete_graph(2)
+    out = find_interval_coloring(g, SearchConfig(1, 2))
+    assert (out.status, out.nodes_explored) == (SearchStatus.FOUND, 2)
+    out = find_interval_coloring(g, SearchConfig(1, 1))
+    assert (out.status, out.nodes_explored, out.coloring) == (
+        SearchStatus.BUDGET_EXCEEDED,
+        1,
+        None,
+    )
+
+
+def test_hopeless_span_does_no_set_up(monkeypatch):
+    n = 4401
+    path = graph_from_edges(n, [(i, i + 1) for i in range(1, n)])
+
+    def no_set_up(nbr):
+        raise AssertionError("the sweep was prepared for a hopeless span")
+
+    monkeypatch.setattr(search, "_twin_classes", no_set_up)
+    for t in (1, n):  # below the maximum degree, above the edge count
+        out = find_interval_coloring(path, SearchConfig(t, 0))
+        assert (out.status, out.nodes_explored) == (SearchStatus.EXHAUSTED_NO_SOLUTION, 0)
+
+
+# Witnesses list the edges in g.sorted_edges order.
 def test_decisions_agree_across_edge_orders():
     for g in canonical_graphs_upto(4):
         for t in range(1, 6):
@@ -105,8 +132,9 @@ def test_decisions_agree_across_edge_orders():
                 assert list(out.coloring.assignment) == sorted(g.edges), g
 
 
-# Node counts are evidence for the K_m brackets: a change to the search's
-# state or prunes must leave every one of them as it is.
+# Node counts are evidence for the K_m brackets: a change to either
+# engine's state or prunes must leave every one of them as it is.  First
+# the edge-search oracle (conftest.edge_search) ...
 @pytest.mark.parametrize(
     "m, t, budget, status, nodes",
     [
@@ -120,14 +148,35 @@ def test_decisions_agree_across_edge_orders():
     ],
 )
 def test_node_counts_are_pinned(m, t, budget, status, nodes):
-    out = find_interval_coloring(complete_graph(m), SearchConfig(t, budget))
+    out = edge_search(complete_graph(m), t, budget)
     assert (out.status, out.nodes_explored) == (status, nodes)
+
+
+# ... then find_interval_coloring, on the palette sweep, on the same probes.
+@pytest.mark.parametrize(
+    "m, t, budget, status, nodes",
+    [
+        (4, 4, 0, SearchStatus.FOUND, 8),
+        (5, 7, 0, SearchStatus.EXHAUSTED_NO_SOLUTION, 4),
+        (6, 7, 0, SearchStatus.FOUND, 23),
+        (6, 8, 0, SearchStatus.EXHAUSTED_NO_SOLUTION, 14),
+        (8, 11, 0, SearchStatus.FOUND, 35),
+        (7, 10, 50_000, SearchStatus.EXHAUSTED_NO_SOLUTION, 16),
+        (8, 12, 50_000, SearchStatus.EXHAUSTED_NO_SOLUTION, 62),
+    ],
+)
+def test_find_node_counts_are_pinned(m, t, budget, status, nodes):
+    g = complete_graph(m)
+    out = find_interval_coloring(g, SearchConfig(t, budget))
+    assert (out.status, out.nodes_explored) == (status, nodes)
+    if out.found:
+        assert verify_interval(g, out.coloring).verdict
 
 
 def test_node_total_over_small_graphs_is_pinned():
     pairs = [(g, t) for g in canonical_graphs_upto(5) for t in range(1, 7)]
     assert len(pairs) == 312
-    assert sum(decide(g, t).nodes_explored for g, t in pairs) == 5674
+    assert sum(edge_search(g, t, 0).nodes_explored for g, t in pairs) == 5674
 
 
 def test_search_work_is_not_sized_by_the_header():
@@ -139,7 +188,8 @@ def test_search_work_is_not_sized_by_the_header():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (out.status, out.nodes_explored) == (SearchStatus.FOUND, 1)
+    # One start decision (both ends start at color 1), one edge placement.
+    assert (out.status, out.nodes_explored) == (SearchStatus.FOUND, 2)
     assert peak < 1 << 20
 
 
@@ -148,13 +198,10 @@ def test_pruning_sound_on_all_small_graphs():
     for g in canonical_graphs_upto(5):
         for t in range(1, 7):
             out = decide(g, t)
-            assert (out.status is SearchStatus.FOUND) == brute_force_exists(g, t), (
-                g,
-                t,
-            )
+            assert (out.status is SearchStatus.FOUND) == brute_force_exists(g, t), (g, t)
             if out.found:
-                report = verify_interval(g, out.coloring)
-                assert report.verdict
+                assert out.coloring.span_t == t
+                assert verify_interval(g, out.coloring).verdict, (g, t)
 
 
 def test_pruning_sound_under_relabeling():
@@ -261,10 +308,12 @@ def test_max_span_of_path_is_vertex_bound():
     assert result.max_span == 3  # hits the triangle-free |V|-1 bound
 
 
-# The --max sweep runs every probe on the palette-start engine; the tests
-# below cross-check it against the brute force and the edge search.
+# Both find_interval_coloring and the --max sweep run on the palette-start
+# engine; the tests above check it against the brute force, the tests
+# below against the edge-search oracle.
 
 
+# The --max sweep reuses one _PaletteSweep for every probe of a graph.
 def test_sweep_engine_agrees_with_brute_force():
     for g in canonical_graphs_upto(5):
         if not g.edges:
@@ -279,16 +328,18 @@ def test_sweep_engine_agrees_with_brute_force():
 
 
 def _assert_engines_agree(g, ts, budget):
+    """find_interval_coloring and one _PaletteSweep reused over ts, as the
+    --max sweep reuses it, against the edge-search oracle."""
     sweep = _PaletteSweep(g)
     for t in ts:
-        out = sweep.probe(t, budget)
-        edge = find_interval_coloring(g, SearchConfig(t, budget))
-        if SearchStatus.BUDGET_EXCEEDED not in (out.status, edge.status):
-            assert out.status is edge.status, (g, t)
-        if out.found:
-            assert verify_interval(g, out.coloring).verdict, (g, t)
-        if out.status is SearchStatus.BUDGET_EXCEEDED:
-            assert (out.nodes_explored, out.coloring) == (budget, None)
+        edge = edge_search(g, t, budget)
+        for out in (find_interval_coloring(g, SearchConfig(t, budget)), sweep.probe(t, budget)):
+            if SearchStatus.BUDGET_EXCEEDED not in (out.status, edge.status):
+                assert out.status is edge.status, (g, t)
+            if out.found:
+                assert verify_interval(g, out.coloring).verdict, (g, t)
+            if out.status is SearchStatus.BUDGET_EXCEEDED:
+                assert (out.nodes_explored, out.coloring) == (budget, None)
 
 
 def test_sweep_engine_agrees_with_edge_search_on_labeled_5_vertex_graphs():
@@ -310,8 +361,8 @@ def test_sweep_engine_agrees_with_edge_search_on_random_graphs():
 
 def test_sweep_decides_every_span_of_random_graphs():
     # 40 graphs on 8-9 vertices with edge probability 1/2, at every span
-    # from the max degree to 2|V| - 3: the edge search decides only 217 of
-    # these 369 probes at this budget (never disagreeing with the sweep).
+    # from the max degree to 2|V| - 3: the edge-search oracle decides only
+    # 217 of these 369 probes at this budget (never disagreeing with the sweep).
     rng = random.Random(7)
     probes = nodes = 0
     for _ in range(40):
@@ -328,7 +379,7 @@ def test_sweep_decides_every_span_of_random_graphs():
     assert (probes, nodes) == (369, 246_146)
 
 
-# Sweep node counts, like the edge search's, are evidence for the K_m
+# Sweep node counts, like the oracle's, are evidence for the K_m
 # answers: a change to the engine's prunes must leave them as they are.
 @pytest.mark.parametrize(
     "m, probes",
@@ -550,3 +601,15 @@ def test_sweep_depth_does_not_grow_the_call_stack():
     result = compute_max_span(path, n - 1)
     assert (result.max_span, result.complete) == (n - 1, True)
     assert verify_interval(path, result.witness).verdict
+
+
+# The path is the sweep's worst case against the oracle: each node does
+# k-bit mask work.  Pinning the node counts keeps that work proportional
+# to the path's length.
+@pytest.mark.parametrize("t, nodes", [(2, 1102), (1100, 2200)])
+def test_find_on_a_long_path_is_pinned(t, nodes):
+    n = 1101
+    path = graph_from_edges(n, [(i, i + 1) for i in range(1, n)])
+    out = find_interval_coloring(path, SearchConfig(t, 0))
+    assert (out.status, out.nodes_explored) == (SearchStatus.FOUND, nodes)
+    assert verify_interval(path, out.coloring).verdict
