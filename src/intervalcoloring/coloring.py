@@ -153,24 +153,15 @@ def palette(g: Graph, coloring: EdgeColoring, x: int) -> VertexPalette:
     return VertexPalette(x, tuple(sorted(colors)))
 
 
-def verify_interval(g: Graph, coloring: EdgeColoring) -> IntervalReport:
-    """Check whether `coloring` is an interval coloring of g with span span_t.
+def _check_interval(
+    g: Graph, coloring: EdgeColoring
+) -> tuple[list[Violation], list[tuple[int, int]]]:
+    """Every violation but color-unused, and the unused colors as runs.
 
-    All conditions are evaluated and every failure is reported:
-
-    * edge-uncolored   -- an edge of g has no color;
-    * edge-unknown     -- a colored pair is not an edge of g (it counts
-      toward no palette and no color use);
-    * color-out-of-range -- an assigned color lies outside 1..span_t;
-    * not-proper       -- two edges at one vertex share a color;
-    * not-consecutive  -- the distinct colors at a vertex have a gap
-      (skipped for vertices with an uncolored incident edge, which are
-      already reported);
-    * color-unused     -- some color in 1..span_t is on no edge.
-
-    Never raises; a failing coloring yields verdict False plus the list.
-    The work is bounded by the edges and the span, not by vertex_count:
-    only vertices with a colored edge are visited, in ascending order.
+    The runs (lo, hi) are ascending and disjoint and cover exactly the
+    colors in 1..span_t that are on no edge of g.  They come from the
+    sorted distinct colors on the edges of g, so the work is bounded by
+    the edges, not by span_t or vertex_count.
     """
     t = coloring.span_t
     assignment = coloring.assignment
@@ -207,11 +198,48 @@ def verify_interval(g: Graph, coloring: EdgeColoring) -> IntervalReport:
         if x not in incomplete and max(distinct) - min(distinct) + 1 != len(distinct):
             violations.append(Violation(ViolationKind.NOT_CONSECUTIVE, vertex=x))
 
-    used = set()
+    used: set[int] = set()
     for colors in incident.values():
         used.update(colors)
-    for c in range(1, t + 1):
-        if c not in used:
-            violations.append(Violation(ViolationKind.COLOR_UNUSED, color=c))
+    unused: list[tuple[int, int]] = []
+    last = 0  # the highest used color in 1..t seen so far
+    for c in sorted(used):
+        if c > t:
+            break
+        if c > last + 1:
+            unused.append((last + 1, c - 1))
+        last = max(last, c)
+    if last < t:
+        unused.append((last + 1, t))
+    return violations, unused
 
+
+def verify_interval(g: Graph, coloring: EdgeColoring) -> IntervalReport:
+    """Check whether `coloring` is an interval coloring of g with span span_t.
+
+    All conditions are evaluated and every failure is reported:
+
+    * edge-uncolored   -- an edge of g has no color;
+    * edge-unknown     -- a colored pair is not an edge of g (it counts
+      toward no palette and no color use);
+    * color-out-of-range -- an assigned color lies outside 1..span_t;
+    * not-proper       -- two edges at one vertex share a color;
+    * not-consecutive  -- the distinct colors at a vertex have a gap
+      (skipped for vertices with an uncolored incident edge, which are
+      already reported);
+    * color-unused     -- some color in 1..span_t is on no edge, one
+      violation per color, ascending, after all the others.
+
+    Never raises; a failing coloring yields verdict False plus the list.
+    The checks are bounded by the edges, not by vertex_count or span_t:
+    only vertices with a colored edge are visited, in ascending order,
+    and unused colors are found as runs between the colors in use.  Only
+    the report grows with the span, by one color-unused entry per color.
+    """
+    violations, unused = _check_interval(g, coloring)
+    violations.extend(
+        Violation(ViolationKind.COLOR_UNUSED, color=c)
+        for lo, hi in unused
+        for c in range(lo, hi + 1)
+    )
     return IntervalReport(not violations, tuple(violations))

@@ -1,4 +1,7 @@
 import io
+import os
+import random
+import subprocess
 import sys
 import time
 
@@ -12,7 +15,10 @@ from intervalcoloring import (
     emit_graph,
     graph_from_edges,
     parse_coloring,
+    parse_coloring_with_graph,
+    verify_interval,
 )
+import intervalcoloring
 from intervalcoloring import graph as graph_module
 from intervalcoloring.cli import main, run
 
@@ -96,6 +102,47 @@ def test_verify_fail_listing_is_byte_exact():
         "  color-unused at color 2\n"
         "  color-unused at color 4\n"
     )
+    # Vertex 1 sees {3, 5}; the unused colors form runs at 1..2, 4, 6
+    # and 8..9, the first starting at color 1 and the last ending at the span.
+    code, out, err = run_cli(["verify", "-"], "c 5 9\ne 1 2 3\ne 1 3 5\ne 4 5 7\n")
+    assert (code, err) == (1, "")
+    assert out == (
+        "FAIL: 7 violation(s)\n"
+        "  not-consecutive at vertex 1\n"
+        "  color-unused at color 1\n"
+        "  color-unused at color 2\n"
+        "  color-unused at color 4\n"
+        "  color-unused at color 6\n"
+        "  color-unused at color 8\n"
+        "  color-unused at color 9\n"
+    )
+
+
+def test_verify_listing_is_the_library_report():
+    # Random colorings of small graphs, colors within the span, some spans
+    # raised, some colors repeated: the CLI writes verify_interval's report.
+    rng = random.Random(15)
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        edges = rng.sample(pairs, rng.randint(1, len(pairs)))
+        span = rng.randint(1, 2 * n) + rng.choice([0, 0, rng.randint(1, 40)])
+        palette = rng.sample(range(1, span + 1), min(span, rng.randint(1, 4)))
+        text = f"c {n} {span}\n" + "".join(
+            f"e {i} {j} {rng.choice(palette)}\n" for i, j in edges
+        )
+        code, out, err = run_cli(["verify", "-"], text)
+        graph, coloring = parse_coloring_with_graph(text)
+        v = verify_interval(graph, coloring).violations
+        assert err == ""
+        if not v:
+            assert code == 0
+            assert out == (
+                f"PASS: interval coloring of {n} vertices, span {span}, {len(edges)} edges\n"
+            )
+        else:
+            assert code == 1
+            assert out == f"FAIL: {len(v)} violation(s)\n" + "".join(f"  {x}\n" for x in v)
 
 
 def test_verify_against_graph_file(tmp_path):
@@ -379,6 +426,26 @@ def test_main_exits_quietly_when_stdout_closes(monkeypatch):
     sys.stdout.close()  # the devnull stream main left in place of the pipe
     assert exc.value.code == 141
     assert err.getvalue() == ""
+
+
+def test_verify_exits_quietly_when_a_real_pipe_closes():
+    # `verify - | head -1` on a listing of 999,999 lines, through an OS pipe
+    # and an unbuffered stdout, where a write that the closing pipe cuts
+    # short returns without raising: the exit must still be 141.
+    src = os.path.dirname(os.path.dirname(intervalcoloring.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": "1"}
+    child = subprocess.Popen(
+        [sys.executable, "-c", "from intervalcoloring.cli import main; main()", "verify", "-"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    child.stdin.write(b"c 2 1000000\ne 1 2 1\n")
+    child.stdin.close()
+    first = child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (first, child.wait(timeout=60), err) == (b"FAIL: 999999 violation(s)\n", 141, b"")
 
 
 def test_each_call_gets_its_own_parser_output():

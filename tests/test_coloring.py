@@ -18,6 +18,7 @@ from intervalcoloring import (
     round_robin,
     verify_interval,
 )
+from intervalcoloring.coloring import _check_interval
 
 # Frozen by hand-evaluating the eight clauses at n=2: region checks give
 # cases 1, 4, 4, 6, 4, 8 for the six edges in lexicographic order.
@@ -195,6 +196,62 @@ def test_verify_work_is_not_sized_by_the_header(monkeypatch):
     monkeypatch.setattr(Graph, "vertices", refuse)
     assert [verify_interval(g, c) for g, c in cases] == expected
     assert [r.verdict for r in expected] == [True, False, False, False, True]
+
+
+def test_unused_color_runs_are_not_sized_by_the_span():
+    g = Graph(2, {(1, 2)})
+    c = EdgeColoring({(1, 2): 1}, span_t=10**9)
+    tracemalloc.start()
+    try:
+        assert _check_interval(g, c) == ([], [(2, 10**9)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _matching(colors):
+    """Edges (1, 2), (3, 4), ... with the given colors, in that order."""
+    return {(2 * i + 1, 2 * i + 2): c for i, c in enumerate(colors)}
+
+
+@pytest.mark.parametrize(
+    "assignment, span, graph_edges, runs",
+    [
+        pytest.param(_matching([2]), 2, None, [(1, 1)], id="color-1-unused"),
+        pytest.param(_matching([2, 5, 9]), 10, None, [(1, 1), (3, 4), (6, 8), (10, 10)],
+                     id="inner-gaps"),
+        pytest.param(_matching([1, 2]), 5, None, [(3, 5)], id="run-at-the-top"),
+        pytest.param(_matching([3, 1, 2]), 3, None, [], id="no-gap"),
+        pytest.param(_matching([1, 1, 3]), 4, None, [(2, 2), (4, 4)], id="repeated-colors"),
+        pytest.param(_matching([1, 7, 9]), 3, None, [(2, 3)], id="colors-above-span-ignored"),
+        pytest.param(_matching([1, 2, 3]), 3, [(1, 2), (3, 4)], [(3, 3)],
+                     id="edge-unknown-colors-unused"),
+    ],
+)
+def test_unused_color_runs(assignment, span, graph_edges, runs):
+    g = graph_from_edges(6, assignment if graph_edges is None else graph_edges)
+    c = EdgeColoring(assignment, span)
+    found, unused = _check_interval(g, c)
+    assert unused == runs
+    # verify_interval lists the same colors, one violation each, last.
+    assert verify_interval(g, c).violations == tuple(found) + tuple(
+        Violation(ViolationKind.COLOR_UNUSED, color=x) for lo, hi in runs for x in range(lo, hi + 1)
+    )
+    assert ViolationKind.COLOR_UNUSED not in {v.kind for v in found}
+
+
+@settings(max_examples=120, deadline=None)
+@given(colored_graphs())
+def test_unused_color_runs_match_the_definition(gc):
+    g, c = gc
+    found, unused = _check_interval(g, c)
+    colors = [x for lo, hi in unused for x in range(lo, hi + 1)]
+    assert colors == sorted(set(range(1, c.span_t + 1)) - set(c.assignment.values()))
+    assert all(hi + 1 < lo for (_, hi), (lo, _) in zip(unused, unused[1:]))
+    assert verify_interval(g, c).violations == tuple(found) + tuple(
+        Violation(ViolationKind.COLOR_UNUSED, color=x) for x in colors
+    )
 
 
 def test_duplicate_color_flips_verdict():
