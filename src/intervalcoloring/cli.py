@@ -18,7 +18,7 @@ from typing import TextIO
 
 from . import bounds as bounds_mod
 from . import io as formats
-from .coloring import ViolationKind, _check_interval
+from .coloring import _check_interval, _fail_listing
 from .construction import case_statistics, construct
 from .graph import Graph
 from .search import (
@@ -33,11 +33,6 @@ _USAGE_ERROR = 2
 _CHECK_FAILED = 1
 # The shell's status for a process killed by SIGPIPE (128 + 13).
 _BROKEN_PIPE = 141
-# A long listing goes out in writes of this many lines.  With an
-# unbuffered stdout (python -u, PYTHONUNBUFFERED) a write that a closing
-# pipe cuts short returns without raising and only a later write raises
-# BrokenPipeError, so one write of a whole listing would exit 1, not 141.
-_LINES_PER_WRITE = 256
 
 
 def _read_text(path: str, stdin: TextIO) -> str:
@@ -99,18 +94,12 @@ def _cmd_verify(args: argparse.Namespace, stdout: TextIO, stdin: TextIO) -> int:
             f"span {coloring.span_t}, {graph.edge_count} edges\n"
         )
         return 0
-    # The listing verify_interval's report gives, written without one
-    # Violation per unused color: each block of a run's lines is one join.
-    count = len(violations) + sum(hi - lo + 1 for lo, hi in unused)
-    stdout.write(
-        f"FAIL: {count} violation(s)\n"
-        + "".join(f"  {violation}\n" for violation in violations)
-    )
-    prefix = f"  {ViolationKind.COLOR_UNUSED.value} at color "
-    for lo, hi in unused:
-        for start in range(lo, hi + 1, _LINES_PER_WRITE):
-            colors = range(start, min(start + _LINES_PER_WRITE, hi + 1))
-            stdout.write(prefix + f"\n{prefix}".join(map(str, colors)) + "\n")
+    # One write per line, each far shorter than PIPE_BUF, so each is
+    # atomic on a pipe.  With an unbuffered stdout (python -u,
+    # PYTHONUNBUFFERED) a longer write that the reader's close cuts short
+    # returns without raising, and `verify ... | head` could exit 1, not 141.
+    for line in _fail_listing(violations, unused):
+        stdout.write(line)
     return _CHECK_FAILED
 
 

@@ -12,7 +12,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .graph import Edge, Graph
 
@@ -208,10 +208,30 @@ def _check_interval(
             break
         if c > last + 1:
             unused.append((last + 1, c - 1))
-        last = max(last, c)
+        last = c
     if last < t:
         unused.append((last + 1, t))
     return violations, unused
+
+
+def _fail_listing(
+    violations: list[Violation], unused: list[tuple[int, int]]
+) -> Iterator[str]:
+    """The lines of a FAIL listing from _check_interval's result.
+
+    First `FAIL: N violation(s)`, then `  {v}` for each violation that
+    verify_interval reports, in its order.  An unused color c gives the
+    line of str(Violation(COLOR_UNUSED, color=c)) without making one, so
+    the listing costs one string per line and nothing more per color.
+    """
+    count = len(violations) + sum(hi - lo + 1 for lo, hi in unused)
+    yield f"FAIL: {count} violation(s)\n"
+    for violation in violations:
+        yield f"  {violation}\n"
+    unused_at = f"  {ViolationKind.COLOR_UNUSED.value} at color "
+    for lo, hi in unused:
+        for c in range(lo, hi + 1):
+            yield f"{unused_at}{c}\n"
 
 
 def verify_interval(g: Graph, coloring: EdgeColoring) -> IntervalReport:

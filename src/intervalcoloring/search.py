@@ -107,24 +107,21 @@ def find_interval_coloring(g: Graph, cfg: SearchConfig) -> SearchOutcome:
     return _PaletteSweep(g).probe(cfg.t, cfg.node_budget)
 
 
-def _twin_classes(adj: list[list[int]]) -> list[int]:
+def _twin_classes(nbr: list[int]) -> list[int]:
     """Mask of each vertex's twin class, the vertex included.
 
     u and w are twins when N(u) - {w} == N(w) - {u}: equal open (false
     twins) or closed (true twins) neighborhoods; swapping them is an
     automorphism.  The classes partition the vertices: if u had a false
     twin w and a true twin x, then x is in N(u) = N(w), so w is in
-    N[x] = N[u], a contradiction.  Neighborhoods are keyed by their
-    sorted tuples, so hashing them costs the degrees, not k bits each.
+    N[x] = N[u], a contradiction.
     """
-    open_keys = [tuple(a) for a in adj]
-    closed_keys = [tuple(sorted([*a, w])) for w, a in enumerate(adj)]
-    by_open: dict[tuple[int, ...], int] = {}
-    by_closed: dict[tuple[int, ...], int] = {}
-    for w, (n, closed) in enumerate(zip(open_keys, closed_keys)):
+    by_open: dict[int, int] = {}
+    by_closed: dict[int, int] = {}
+    for w, n in enumerate(nbr):
         by_open[n] = by_open.get(n, 0) | 1 << w
-        by_closed[closed] = by_closed.get(closed, 0) | 1 << w
-    return [by_open[n] | by_closed[closed] for n, closed in zip(open_keys, closed_keys)]
+        by_closed[n | 1 << w] = by_closed.get(n | 1 << w, 0) | 1 << w
+    return [by_open[n] | by_closed[n | 1 << w] for w, n in enumerate(nbr)]
 
 
 def _fits(lo: int, hi: int, windows: list[tuple[int, int]]) -> bool:
@@ -204,7 +201,7 @@ class _PaletteSweep:
         self.deg = [len(a) for a in adj]
         self.max_degree = max(self.deg, default=0)
         self.nbr = [sum(1 << w for w in a) for a in adj]
-        self.twins = _twin_classes(adj)  # fixed for the whole sweep
+        self.twins = _twin_classes(self.nbr)  # fixed for the whole sweep
         self.by_degree: dict[int, int] = {}  # degree -> vertices of that degree
         for v, d in enumerate(self.deg):
             self.by_degree[d] = self.by_degree.get(d, 0) | 1 << v

@@ -428,10 +428,23 @@ def test_main_exits_quietly_when_stdout_closes(monkeypatch):
     assert err.getvalue() == ""
 
 
-def test_verify_exits_quietly_when_a_real_pipe_closes():
-    # `verify - | head -1` on a listing of 999,999 lines, through an OS pipe
-    # and an unbuffered stdout, where a write that the closing pipe cuts
-    # short returns without raising: the exit must still be 141.
+_CYCLE_OF_ONE_COLOR = "c 5000 1\n" + "".join(
+    f"e {i} {i % 5000 + 1} 1\n" if i < 5000 else "e 1 5000 1\n" for i in range(1, 5001)
+)
+
+
+@pytest.mark.parametrize(
+    "text, first",
+    [
+        pytest.param("c 2 1000000\ne 1 2 1\n", "FAIL: 999999 violation(s)\n", id="unused-colors"),
+        # 5,000 not-proper lines, about 130 KB: more than a pipe holds.
+        pytest.param(_CYCLE_OF_ONE_COLOR, "FAIL: 5000 violation(s)\n", id="not-proper"),
+    ],
+)
+def test_verify_exits_quietly_when_a_real_pipe_closes(text, first):
+    # `verify - | head -1` on a long listing, through an OS pipe and an
+    # unbuffered stdout, where a write that the closing pipe cuts short
+    # returns without raising: the exit must still be 141.
     src = os.path.dirname(os.path.dirname(intervalcoloring.__file__))
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": "1"}
@@ -439,13 +452,13 @@ def test_verify_exits_quietly_when_a_real_pipe_closes():
         [sys.executable, "-c", "from intervalcoloring.cli import main; main()", "verify", "-"],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
-    child.stdin.write(b"c 2 1000000\ne 1 2 1\n")
+    child.stdin.write(text.encode())
     child.stdin.close()
-    first = child.stdout.readline()
+    line = child.stdout.readline()
     child.stdout.close()
     err = child.stderr.read()
     child.stderr.close()
-    assert (first, child.wait(timeout=60), err) == (b"FAIL: 999999 violation(s)\n", 141, b"")
+    assert (line, child.wait(timeout=60), err) == (first.encode(), 141, b"")
 
 
 def test_each_call_gets_its_own_parser_output():
