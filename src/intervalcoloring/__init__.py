@@ -24,11 +24,8 @@ from .bounds import (
 from .coloring import (
     EdgeColoring,
     IntervalReport,
-    UncoloredEdgeError,
-    VertexPalette,
     Violation,
     ViolationKind,
-    palette,
     reflect,
     verify_interval,
 )
@@ -81,8 +78,6 @@ __all__ = [
     "SearchConfig",
     "SearchOutcome",
     "SearchStatus",
-    "UncoloredEdgeError",
-    "VertexPalette",
     "Violation",
     "ViolationKind",
     "bounds_for_graph",
@@ -101,7 +96,6 @@ __all__ = [
     "graph_from_edges",
     "is_triangle_free",
     "log_lower_bound",
-    "palette",
     "parse_coloring",
     "parse_coloring_with_graph",
     "parse_graph",

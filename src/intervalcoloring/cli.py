@@ -43,6 +43,8 @@ def _read_text(path: str, stdin: TextIO) -> str:
             return fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
 
 
 def _write_output(text: str, out_path: str | None, stdout: TextIO) -> None:

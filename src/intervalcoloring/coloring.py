@@ -60,20 +60,6 @@ class IntervalReport:
 
 
 @dataclass(frozen=True)
-class VertexPalette:
-    """The sorted distinct colors on the edges incident to one vertex."""
-
-    vertex: int
-    colors: tuple[int, ...]
-
-
-class UncoloredEdgeError(ValueError):
-    def __init__(self, edge: Edge):
-        self.edge = edge
-        super().__init__(f"edge ({edge[0]}, {edge[1]}) has no color")
-
-
-@dataclass(frozen=True)
 class EdgeColoring:
     """An edge -> color map together with its declared span.
 
@@ -100,16 +86,6 @@ class EdgeColoring:
     def __len__(self) -> int:
         return len(self.assignment)
 
-    def color(self, x: int, y: int) -> int | None:
-        """Color of edge {x, y} in either vertex order, or None."""
-        if x > y:
-            x, y = y, x
-        return self.assignment.get((x, y))
-
-    def colors_used(self) -> set[int]:
-        """The exact set of colors appearing on edges."""
-        return set(self.assignment.values())
-
 
 def _canonical_coloring(assignment: dict[Edge, int], span_t: int) -> EdgeColoring:
     """An EdgeColoring over `assignment` itself, built without the checks.
@@ -134,23 +110,6 @@ def reflect(coloring: EdgeColoring) -> EdgeColoring:
     return EdgeColoring(
         {e: t1 - c for e, c in coloring.assignment.items()}, coloring.span_t
     )
-
-
-def palette(g: Graph, coloring: EdgeColoring, x: int) -> VertexPalette:
-    """Sorted distinct colors on the edges incident to x.
-
-    Raises UncoloredEdgeError if some incident edge has no color.
-    """
-    g._check_vertex(x)
-    assignment = coloring.assignment
-    colors = set()
-    for y in g.adjacency.get(x, frozenset()):
-        e = (x, y) if x < y else (y, x)
-        c = assignment.get(e)
-        if c is None:
-            raise UncoloredEdgeError(e)
-        colors.add(c)
-    return VertexPalette(x, tuple(sorted(colors)))
 
 
 def _check_interval(

@@ -42,9 +42,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def vertices(self) -> range:
-        return range(1, self.vertex_count + 1)
-
     @cached_property
     def sorted_edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.edges))
@@ -58,28 +55,9 @@ class Graph:
             neighbors.setdefault(j, set()).add(i)
         return {x: frozenset(s) for x, s in neighbors.items()}
 
-    def _check_vertex(self, x: int) -> None:
-        if not 1 <= x <= self.vertex_count:
-            raise ValueError(f"vertex {x} out of range 1..{self.vertex_count}")
-
-    def degree(self, x: int) -> int:
-        self._check_vertex(x)
-        return len(self.adjacency.get(x, ()))
-
     @cached_property
     def max_degree(self) -> int:
         return max(map(len, self.adjacency.values()), default=0)
-
-    def has_edge(self, x: int, y: int) -> bool:
-        if x > y:
-            x, y = y, x
-        return (x, y) in self.edges
-
-    def incident_edges(self, x: int) -> list[Edge]:
-        self._check_vertex(x)
-        return sorted(
-            (min(x, y), max(x, y)) for y in self.adjacency.get(x, frozenset())
-        )
 
 
 def _canonical_graph(vertex_count: int, edges: frozenset[Edge]) -> Graph:

@@ -55,6 +55,48 @@ def brute_force_exists(g: Graph, t: int) -> bool:
     return rec(0)
 
 
+def palettes(coloring: EdgeColoring) -> dict[int, tuple[int, ...]]:
+    """Sorted distinct colors at each vertex that has a colored edge,
+    read straight from the assignment."""
+    at: dict[int, set[int]] = {}
+    for (i, j), c in coloring.assignment.items():
+        at.setdefault(i, set()).add(c)
+        at.setdefault(j, set()).add(c)
+    return {x: tuple(sorted(colors)) for x, colors in at.items()}
+
+
+def tree_max_span(g: Graph) -> int:
+    """Closed-form maximum interval span W(T) of a tree (Kamalian 1989).
+
+    W(T) is 1 plus the heaviest path weight when each vertex v weighs
+    d(v) - 1.  Two passes over the tree: one orders the vertices from a
+    root outward, the other folds each vertex's heaviest downward path
+    into its parent's, scoring the best path that bends at each vertex.
+    """
+    nbrs: dict[int, list[int]] = {}
+    for i, j in g.edges:
+        nbrs.setdefault(i, []).append(j)
+        nbrs.setdefault(j, []).append(i)
+    assert len(g.edges) == len(nbrs) - 1, "g must be a tree"
+    root = min(nbrs)
+    parent = {root: 0}
+    order = [root]
+    for x in order:
+        for y in nbrs[x]:
+            if y not in parent:
+                parent[y] = x
+                order.append(y)
+    assert len(order) == len(nbrs), "g must be connected"
+    down: dict[int, int] = {}  # heaviest path from x down into its subtree
+    best = 0
+    for x in reversed(order):
+        legs = sorted((down[y] for y in nbrs[x] if y != parent[x]), reverse=True)
+        weight = len(nbrs[x]) - 1
+        down[x] = weight + (legs[0] if legs else 0)
+        best = max(best, weight + sum(legs[:2]))
+    return 1 + best
+
+
 def edge_search(g: Graph, t: int, budget: int) -> SearchOutcome:
     """Reference engine: the edge search that `search --t` ran before it
     moved onto the palette sweep.  Shares no code with the search module.

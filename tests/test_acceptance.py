@@ -45,7 +45,7 @@ def test_criterion_1_construction_reproduced_for_all_n_up_to_200():
         c = construct(n)
         assert c.span_t == 3 * n - 2
         assert verify_interval(g, c).verdict, f"construct({n}) failed verification"
-        assert c.colors_used() == set(range(1, 3 * n - 1)), n
+        assert set(c.assignment.values()) == set(range(1, 3 * n - 1)), n
     _report("construction: span 3n-2 verifies on K_2n for n=1..200")
 
 

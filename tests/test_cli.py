@@ -189,6 +189,15 @@ def test_missing_file_is_usage_error():
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("command", [["verify"], ["search", "--t", "1"]])
+def test_non_utf8_file_is_usage_error_naming_the_path(tmp_path, command):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"c 2 1\ne 1 2 1\n\xff\n")
+    code, out, err = run_cli([command[0], str(path), *command[1:]])
+    assert code == 2 and not out
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 25, 60])
 def test_pipeline_construct_then_verify(k):
     _, text, _ = run_cli(["construct", "--n", str(k)])

@@ -3,17 +3,15 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 
-from conftest import colored_graphs
+from conftest import colored_graphs, palettes
 from intervalcoloring import (
     EdgeColoring,
     Graph,
-    UncoloredEdgeError,
     Violation,
     ViolationKind,
     complete_graph,
     construct,
     graph_from_edges,
-    palette,
     reflect,
     round_robin,
     verify_interval,
@@ -41,46 +39,8 @@ def test_edge_coloring_is_immutable_and_comparable():
     assert c == EdgeColoring({(1, 2): 1}, span_t=1)
     assert c != EdgeColoring({(1, 2): 1}, span_t=2)
     assert c != {(1, 2): 1}
-    assert c.color(2, 1) == 1
+    assert c.assignment[(1, 2)] == 1
     assert len(c) == 1 and len(construct(2)) == 6
-
-
-def test_palette_single_edge():
-    g = complete_graph(2)
-    c = EdgeColoring({(1, 2): 1}, span_t=1)
-    assert palette(g, c, 1).colors == (1,)
-
-
-def test_palette_of_constructed_k4():
-    got = palette(complete_graph(4), construct(2), 3)
-    assert got.colors == (2, 3, 4)
-
-
-def test_palette_star_center():
-    star = graph_from_edges(4, [(1, 2), (1, 3), (1, 4)])
-    c = EdgeColoring({(1, 2): 1, (1, 3): 2, (1, 4): 3}, span_t=3)
-    assert palette(star, c, 1).colors == (1, 2, 3)
-
-
-def test_palette_work_is_not_sized_by_the_header():
-    g = Graph(10**6, frozenset({(1, 2)}))
-    c = EdgeColoring({(1, 2): 1}, span_t=1)
-    tracemalloc.start()
-    try:
-        assert palette(g, c, 1).colors == (1,)
-        assert palette(g, c, 3).colors == ()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-
-
-def test_palette_reports_uncolored_edge():
-    g = complete_graph(3)
-    c = EdgeColoring({(1, 2): 1, (1, 3): 2}, span_t=3)
-    with pytest.raises(UncoloredEdgeError) as exc:
-        palette(g, c, 2)
-    assert exc.value.edge == (2, 3)
 
 
 def test_verify_constructed_k4():
@@ -90,8 +50,7 @@ def test_verify_constructed_k4():
     report = verify_interval(g, c)
     assert report.verdict and not report.violations
     expected = {1: (1, 2, 3), 2: (1, 2, 3), 3: (2, 3, 4), 4: (2, 3, 4)}
-    for x, colors in expected.items():
-        assert palette(g, c, x).colors == colors
+    assert palettes(c) == expected
 
 
 def test_verify_all_edges_same_color():
@@ -178,24 +137,30 @@ def test_verify_ignores_degree_zero_vertices():
     assert verify_interval(g, c).verdict
 
 
-def test_verify_work_is_not_sized_by_the_header(monkeypatch):
-    # One case per violation kind, with isolated vertices and an uncolored edge.
-    k4, path = complete_graph(4), graph_from_edges(9, [(2, 5), (5, 7)])
+def test_verify_work_is_not_sized_by_the_header():
+    # One case per violation kind, with isolated vertices and an uncolored
+    # edge, each under a header that names 10**6 vertices.
+    big = 10**6
+    k4, path = complete_graph(4), graph_from_edges(big, [(2, 5), (5, 7), (7, 8)])
     cases = [
-        (complete_graph(6), construct(3)),
-        (k4, EdgeColoring({e: 1 for e in k4.edges}, span_t=1)),
-        (path, EdgeColoring({(2, 5): 1, (5, 7): 3}, span_t=4)),
-        (complete_graph(3), EdgeColoring({(1, 2): 1, (1, 3): 9}, span_t=3)),
-        (graph_from_edges(10**6, [(1, 2)]), EdgeColoring({(1, 2): 1}, span_t=1)),
+        (Graph(big, complete_graph(6).edges), construct(3)),
+        (Graph(big, k4.edges), EdgeColoring({e: 1 for e in k4.edges}, span_t=1)),
+        (path, EdgeColoring({(1, 2): 2, (2, 5): 1, (5, 7): 3}, span_t=4)),
+        (
+            graph_from_edges(big, [(1, 2), (1, 3)]),
+            EdgeColoring({(1, 2): 1, (1, 3): 9}, span_t=3),
+        ),
+        (graph_from_edges(big, [(1, 2)]), EdgeColoring({(1, 2): 1}, span_t=1)),
     ]
-    expected = [verify_interval(g, c) for g, c in cases]
-
-    def refuse(self):
-        raise AssertionError("verify_interval walked every vertex")
-
-    monkeypatch.setattr(Graph, "vertices", refuse)
-    assert [verify_interval(g, c) for g, c in cases] == expected
-    assert [r.verdict for r in expected] == [True, False, False, False, True]
+    tracemalloc.start()
+    try:
+        reports = [verify_interval(g, c) for g, c in cases]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [r.verdict for r in reports] == [True, False, False, False, True]
+    assert {v.kind for r in reports for v in r.violations} == set(ViolationKind)
+    assert peak < 1 << 20
 
 
 def test_unused_color_runs_are_not_sized_by_the_span():
@@ -265,12 +230,6 @@ def test_duplicate_color_flips_verdict():
     )
 
 
-def test_colors_used():
-    assert construct(3).colors_used() == set(range(1, 8))
-    assert EdgeColoring({(1, 2): 5}, span_t=5).colors_used() == {5}
-    assert EdgeColoring({}, span_t=1).colors_used() == set()
-
-
 def test_report_invariant_enforced():
     from intervalcoloring import IntervalReport, Violation
 
@@ -283,9 +242,10 @@ def test_passing_palettes_span_equals_degree(n):
     g = complete_graph(2 * n)
     c = construct(n)
     assert verify_interval(g, c).verdict
-    for x in g.vertices():
-        colors = palette(g, c, x).colors
-        assert colors[-1] - colors[0] + 1 == g.degree(x) == len(colors)
+    at = palettes(c)
+    assert set(at) == set(g.adjacency)
+    for x, colors in at.items():
+        assert colors[-1] - colors[0] + 1 == len(g.adjacency[x]) == len(colors)
 
 
 @pytest.mark.parametrize("make", [construct, round_robin])
@@ -313,7 +273,7 @@ def test_verdict_matches_reported_violations(gc):
 
 def _independent_interval_check(g, coloring):
     """The definition restated from scratch, for total in-range colorings."""
-    incident = {x: [] for x in g.vertices()}
+    incident = {x: [] for x in range(1, g.vertex_count + 1)}
     for (u, v), c in coloring.assignment.items():
         incident[u].append(c)
         incident[v].append(c)

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import palettes
 from intervalcoloring import (
     CASE_COUNT,
     EdgeColoring,
@@ -11,7 +12,6 @@ from intervalcoloring import (
     complete_graph,
     construct,
     construction_lower_bound,
-    palette,
     round_robin,
     verify_interval,
 )
@@ -91,7 +91,7 @@ def test_construct_n3_exact():
     c = construct(3)
     assert dict(c.assignment) == CONSTRUCT_3
     assert c.span_t == 7
-    assert c.colors_used() == set(range(1, 8))
+    assert set(c.assignment.values()) == set(range(1, 8))
 
 
 def test_construct_rejects_zero():
@@ -121,7 +121,7 @@ def test_construct_verifies_with_exact_span(n):
     c = construct(n)
     assert c.span_t == 3 * n - 2 == construction_lower_bound(n)
     assert verify_interval(g, c).verdict
-    assert c.colors_used() == set(range(1, 3 * n - 1))
+    assert set(c.assignment.values()) == set(range(1, 3 * n - 1))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16])
@@ -138,8 +138,9 @@ def test_case_colors_stay_in_range_and_hit_max(n):
 def test_constructed_palettes_are_regular(n):
     g = complete_graph(2 * n)
     c = construct(n)
-    for x in g.vertices():
-        assert len(palette(g, c, x).colors) == 2 * n - 1
+    colors = palettes(c)
+    assert set(colors) == set(range(1, 2 * n + 1))
+    assert all(len(colors[x]) == len(g.adjacency[x]) == 2 * n - 1 for x in colors)
 
 
 def test_construct_is_deterministic():
@@ -171,8 +172,7 @@ def test_round_robin_verifies_and_palettes_are_full(n):
     assert c.span_t == 2 * n - 1
     assert verify_interval(g, c).verdict
     full = tuple(range(1, 2 * n))
-    for x in g.vertices():
-        assert palette(g, c, x).colors == full
+    assert palettes(c) == {x: full for x in range(1, 2 * n + 1)}
 
 
 def test_case_statistics_cover_all_edges():

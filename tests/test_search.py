@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_labeled_graphs, brute_force_exists, canonical_graphs_upto, edge_search
+from conftest import (
+    all_labeled_graphs,
+    brute_force_exists,
+    canonical_graphs_upto,
+    edge_search,
+    tree_max_span,
+)
 from intervalcoloring import (
     Graph,
     SearchConfig,
@@ -613,3 +619,33 @@ def test_find_on_a_long_path_is_pinned(t, nodes):
     out = find_interval_coloring(path, SearchConfig(t, 0))
     assert (out.status, out.nodes_explored) == (SearchStatus.FOUND, nodes)
     assert verify_interval(path, out.coloring).verdict
+
+
+def _recursive_tree(rng, n):
+    """A random recursive tree: vertex v joins a uniform earlier vertex."""
+    return graph_from_edges(n, [(v, rng.randint(1, v - 1)) for v in range(2, n + 1)])
+
+
+def test_tree_max_span_is_the_closed_form():
+    # Kamalian (1989): W(T) = 1 + the heaviest path under weights d(v) - 1.
+    path = graph_from_edges(6, [(i, i + 1) for i in range(1, 6)])
+    star = graph_from_edges(5, [(1, x) for x in range(2, 6)])
+    assert (tree_max_span(path), tree_max_span(star)) == (5, 4)
+    rng = random.Random(1989)
+    for _ in range(150):
+        g = _recursive_tree(rng, rng.randint(2, 10))
+        result = compute_max_span(g, 10**9, node_budget=0)
+        assert result.complete and result.max_span == tree_max_span(g), g
+        assert verify_interval(g, result.witness).verdict
+
+
+def test_tree_spans_are_contiguous_up_to_the_closed_form():
+    # Asratian & Kamalian (1994): a tree has an interval t-coloring for
+    # every t from its maximum degree up to W(T).
+    rng = random.Random(1994)
+    for _ in range(60):
+        g = _recursive_tree(rng, rng.randint(2, 10))
+        for t in range(g.max_degree, tree_max_span(g) + 1):
+            out = decide(g, t)
+            assert out.status is SearchStatus.FOUND, (g, t)
+            assert verify_interval(g, out.coloring).verdict
