@@ -10,7 +10,9 @@ closed early, with no traceback.
 from __future__ import annotations
 
 import argparse
+import io
 import os
+import select
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
@@ -19,7 +21,7 @@ from typing import TextIO
 from . import bounds as bounds_mod
 from . import io as formats
 from .coloring import _check_interval, _fail_listing
-from .construction import case_statistics, construct
+from .construction import _runs, case_statistics
 from .graph import Graph
 from .search import (
     DEFAULT_NODE_BUDGET,
@@ -33,12 +35,15 @@ _USAGE_ERROR = 2
 _CHECK_FAILED = 1
 # The shell's status for a process killed by SIGPIPE (128 + 13).
 _BROKEN_PIPE = 141
+# Writes up to this size are atomic on a pipe; POSIX guarantees 512, and
+# select has no PIPE_BUF where pipes are not POSIX (Windows).
+_PIPE_BUF = getattr(select, "PIPE_BUF", 512)
 
 
 def _read_text(path: str, stdin: TextIO) -> str:
-    if path == "-":
-        return stdin.read()
     try:
+        if path == "-":
+            return stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
@@ -73,8 +78,9 @@ def _positive(value: str) -> int:
 
 
 def _cmd_construct(args: argparse.Namespace, stdout: TextIO, stdin: TextIO) -> int:
-    # construct(n) colors exactly the pairs of K_2n, so there is nothing to check.
-    text = formats._write_coloring(2 * args.n, construct(args.n))
+    # The clause runs tile the pairs of K_2n, so there is nothing to check.
+    n = args.n
+    text = formats._write_runs(2 * n, 3 * n - 2, _runs(n))
     _write_output(text, args.out, stdout)
     return 0
 
@@ -96,12 +102,12 @@ def _cmd_verify(args: argparse.Namespace, stdout: TextIO, stdin: TextIO) -> int:
             f"span {coloring.span_t}, {graph.edge_count} edges\n"
         )
         return 0
-    # One write per line, each far shorter than PIPE_BUF, so each is
-    # atomic on a pipe.  With an unbuffered stdout (python -u,
+    # Each write is whole lines of at most PIPE_BUF bytes (all ASCII), so
+    # each is atomic on a pipe.  With an unbuffered stdout (python -u,
     # PYTHONUNBUFFERED) a longer write that the reader's close cuts short
     # returns without raising, and `verify ... | head` could exit 1, not 141.
-    for line in _fail_listing(violations, unused):
-        stdout.write(line)
+    for piece in _fail_listing(violations, unused, _PIPE_BUF):
+        stdout.write(piece)
     return _CHECK_FAILED
 
 
@@ -273,6 +279,9 @@ def run(
 
 
 def main() -> None:
+    # Decode stdin as strictly as a named file, whatever the locale says.
+    if isinstance(sys.stdin, io.TextIOWrapper):
+        sys.stdin.reconfigure(encoding="utf-8", errors="strict")
     try:
         code = run()
         sys.stdout.flush()

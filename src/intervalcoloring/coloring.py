@@ -174,23 +174,27 @@ def _check_interval(
 
 
 def _fail_listing(
-    violations: list[Violation], unused: list[tuple[int, int]]
+    violations: list[Violation], unused: list[tuple[int, int]], piece_bytes: int
 ) -> Iterator[str]:
-    """The lines of a FAIL listing from _check_interval's result.
+    """The FAIL listing from _check_interval's result, in pieces of whole lines.
 
     First `FAIL: N violation(s)`, then `  {v}` for each violation that
-    verify_interval reports, in its order.  An unused color c gives the
-    line of str(Violation(COLOR_UNUSED, color=c)) without making one, so
-    the listing costs one string per line and nothing more per color.
+    verify_interval reports, in its order, one line per piece.  An
+    unused color c gives the line of str(Violation(COLOR_UNUSED, color=c))
+    without making one; a run of them is joined into pieces of at most
+    piece_bytes characters, so the listing costs one string per piece.
     """
     count = len(violations) + sum(hi - lo + 1 for lo, hi in unused)
     yield f"FAIL: {count} violation(s)\n"
     for violation in violations:
         yield f"  {violation}\n"
     unused_at = f"  {ViolationKind.COLOR_UNUSED.value} at color "
+    glue = "\n" + unused_at
     for lo, hi in unused:
-        for c in range(lo, hi + 1):
-            yield f"{unused_at}{c}\n"
+        per = max(1, piece_bytes // (len(unused_at) + len(str(hi)) + 1))
+        for first in range(lo, hi + 1, per):
+            colors = range(first, min(first + per, hi + 1))
+            yield unused_at + glue.join(map(str, colors)) + "\n"
 
 
 def verify_interval(g: Graph, coloring: EdgeColoring) -> IntervalReport:

@@ -19,6 +19,8 @@ Two constructions live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, combinations
+from typing import Iterator
 
 from .coloring import EdgeColoring, _canonical_coloring
 
@@ -106,36 +108,55 @@ def case_color(n: int, i: int, j: int, case: CaseId) -> int:
     raise ValueError(f"case must be 1..{CASE_COUNT}, got {case}")
 
 
+def _runs(n: int) -> Iterator[tuple[CaseId, int, int, int, int]]:
+    """The clause runs of K_2n, row by row: (case, i, lo, hi, shift).
+
+    Edges (i, j) with lo <= j < hi fall under clause `case` and get
+    color j + shift.  For a fixed i every clause's color is j plus a
+    constant (clause 5 holds one edge per row), so row i is at most five
+    runs, none empty; they are ascending and tile j = i+1 .. 2n.
+    classify_edge and case_color remain the specification the tests
+    check these runs against.
+    """
+    m = 2 * n
+    split = 1 + (n - 1) // 2  # below/at: clause 5; above: clause 6
+    for i in range(1, m):
+        if i > n:
+            mid = max(i + 1, 3 * n - i)  # i + j <= 3n - 1 below mid
+            row = [(7, i + 1, mid, i - m), (8, mid, m + 1, i - n - 1)]
+        else:
+            mid = max(i + 1, n + 2 - i)  # i + j <= n + 1 below mid
+            d = n - 1 + i  # the pair with j - i == n - 1, if j > n
+            if i <= split:
+                pair = (5, max(d, n + 1), d + 1, i - n - 1)  # color 2(i - 1)
+            else:
+                pair = (6, d, d + 1, i - 2)
+            row = [
+                (1, i + 1, mid, i - 2),
+                (2, mid, n + 1, i + n - 3),
+                (3, n + 1, d, n - i),
+                pair,
+                (4, n + i, m + 1, -i),
+            ]
+        for case, lo, hi, shift in row:
+            if lo < hi:
+                yield case, i, lo, hi, shift
+
+
 def construct(n: int) -> EdgeColoring:
     """Interval coloring of K_2n with colors exactly 1..3n-2.
 
     Equivalent to coloring every edge with
-    ``case_color(n, i, j, classify_edge(n, i, j))``; the region split is
-    inlined here so large sweeps stay cheap.
+    ``case_color(n, i, j, classify_edge(n, i, j))``; the colors are
+    read off ``_runs`` so large sweeps stay cheap.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    m = 2 * n
-    split = 1 + (n - 1) // 2  # below/at: clause 5; above: clause 6
-    assignment: dict[tuple[int, int], int] = {}
-    for i in range(1, m):
-        for j in range(i + 1, m + 1):
-            s = i + j
-            if j <= n:
-                c = s - 2 if s <= n + 1 else s + n - 3
-            elif i > n:
-                c = s - 2 * n if s <= 3 * n - 1 else s - n - 1
-            else:
-                d = j - i
-                if d >= n:
-                    c = d
-                elif d <= n - 2:
-                    c = n + d
-                elif i <= split:
-                    c = 2 * (i - 1)
-                else:
-                    c = s - 2
-            assignment[(i, j)] = c
+    # The runs tile the rows in order, so their colors follow the pairs.
+    colors = chain.from_iterable(
+        range(lo + shift, hi + shift) for _, _, lo, hi, shift in _runs(n)
+    )
+    assignment = dict(zip(combinations(range(1, 2 * n + 1), 2), colors))
     return _canonical_coloring(assignment, 3 * n - 2)
 
 
@@ -172,15 +193,13 @@ def case_statistics(n: int) -> list[CaseStats]:
     counts = [0] * (CASE_COUNT + 1)
     lo = [None] * (CASE_COUNT + 1)
     hi = [None] * (CASE_COUNT + 1)
-    for i in range(1, 2 * n):
-        for j in range(i + 1, 2 * n + 1):
-            case = classify_edge(n, i, j)
-            color = case_color(n, i, j, case)
-            counts[case] += 1
-            if lo[case] is None or color < lo[case]:
-                lo[case] = color
-            if hi[case] is None or color > hi[case]:
-                hi[case] = color
+    for case, _, first, stop, shift in _runs(n):
+        counts[case] += stop - first
+        low, high = first + shift, stop - 1 + shift
+        if lo[case] is None or low < lo[case]:
+            lo[case] = low
+        if hi[case] is None or high > hi[case]:
+            hi[case] = high
     return [
         CaseStats(case, counts[case], lo[case], hi[case])
         for case in range(1, CASE_COUNT + 1)

@@ -24,12 +24,15 @@ live in one place.  The parsed data is checked here once and handed to
 Emission is canonical (pairs sorted, single trailing newline) and
 byte-stable, so emitted files are usable as goldens.  A coloring is
 emitted from its own sorted colored pairs once they are known to be the
-graph's edges.
+graph's edges; ``_write_runs`` writes the same text from a coloring's
+runs of consecutive edges in a row (construct's clause runs).
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from itertools import repeat
+from operator import add
+from typing import Iterable, Iterator
 
 from .coloring import EdgeColoring, _canonical_coloring
 from .graph import Edge, Graph, _canonical_graph
@@ -228,12 +231,26 @@ def emit_coloring(g: Graph, coloring: EdgeColoring) -> str:
             raise ValueError(f"edge {min(missing)} has no color")
         extra = min(assignment.keys() - g.edges)
         raise ValueError(f"colored pair {extra} is not an edge of the graph")
-    return _write_coloring(g.vertex_count, coloring)
-
-
-def _write_coloring(vertex_count: int, coloring: EdgeColoring) -> str:
-    """Canonical text of a coloring whose pairs are known to be the graph's edges."""
-    assignment = coloring.assignment
-    lines = [f"c {vertex_count} {coloring.span_t}"]
+    lines = [f"c {g.vertex_count} {coloring.span_t}"]
     lines.extend([f"e {i} {j} {assignment[i, j]}" for i, j in sorted(assignment)])
     return "\n".join(lines) + "\n"
+
+
+def _write_runs(
+    vertex_count: int, span_t: int, runs: Iterable[tuple[int, int, int, int, int]]
+) -> str:
+    """Canonical text of a coloring given as runs (tag, i, lo, hi, shift).
+
+    Each run colors the edges (i, j), lo <= j < hi, with j + shift; the
+    runs must come in canonical edge order, cover the graph's edges once
+    and keep every color in 1..span_t.  Lines are joined from tables of
+    the number strings, so no formatting is done per edge.
+    """
+    num = list(map(str, range(vertex_count + 1)))
+    tail = [f" {c}\n" for c in range(span_t + 1)]
+    parts = [f"c {vertex_count} {span_t}\n"]
+    for _, i, lo, hi, shift in runs:
+        parts.extend(
+            map(add, map(add, repeat(f"e {i} "), num[lo:hi]), tail[lo + shift : hi + shift])
+        )
+    return "".join(parts)

@@ -8,7 +8,15 @@ from typing import Iterator
 
 from hypothesis import strategies as st
 
-from intervalcoloring import EdgeColoring, FormatError, Graph, SearchOutcome, SearchStatus
+from intervalcoloring import (
+    EdgeColoring,
+    FormatError,
+    Graph,
+    SearchOutcome,
+    SearchStatus,
+    case_color,
+    classify_edge,
+)
 
 
 def brute_force_exists(g: Graph, t: int) -> bool:
@@ -63,6 +71,18 @@ def palettes(coloring: EdgeColoring) -> dict[int, tuple[int, ...]]:
         at.setdefault(i, set()).add(c)
         at.setdefault(j, set()).add(c)
     return {x: tuple(sorted(colors)) for x, colors in at.items()}
+
+
+def classifier_twin(n: int) -> EdgeColoring:
+    """The span-(3n-2) coloring of K_2n, each edge colored through the
+    public clause classifier and built by the checking constructor."""
+    return EdgeColoring(
+        {
+            (i, j): case_color(n, i, j, classify_edge(n, i, j))
+            for i, j in combinations(range(1, 2 * n + 1), 2)
+        },
+        3 * n - 2,
+    )
 
 
 def tree_max_span(g: Graph) -> int:

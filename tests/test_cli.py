@@ -4,13 +4,14 @@ import random
 import subprocess
 import sys
 import time
+from itertools import accumulate
 
 import pytest
 
+from conftest import classifier_twin
 from intervalcoloring import (
     Graph,
     complete_graph,
-    construct,
     emit_coloring,
     emit_graph,
     graph_from_edges,
@@ -20,6 +21,7 @@ from intervalcoloring import (
 )
 import intervalcoloring
 from intervalcoloring import graph as graph_module
+from intervalcoloring import cli as cli_module
 from intervalcoloring.cli import main, run
 
 
@@ -47,7 +49,12 @@ def test_construct_to_file(tmp_path):
 
 
 def test_construct_builds_no_graph_and_writes_the_checked_text(monkeypatch):
-    expected = {n: emit_coloring(complete_graph(2 * n), construct(n)) for n in (1, 2, 3, 7, 60)}
+    # n = 4, 5, 8, 64, 100: odd and even n, and both sides of the
+    # clause-5/6 split.
+    expected = {
+        n: emit_coloring(complete_graph(2 * n), classifier_twin(n))
+        for n in (1, 2, 3, 4, 5, 7, 8, 60, 64, 100)
+    }
 
     def no_graph(*args):
         raise AssertionError("construct built a Graph")
@@ -116,6 +123,31 @@ def test_verify_fail_listing_is_byte_exact():
         "  color-unused at color 8\n"
         "  color-unused at color 9\n"
     )
+
+
+class _Writes(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text.encode()))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("span", [2, 3, 12_345, 100_000])
+def test_verify_writes_the_listing_in_whole_lines_of_at_most_pipe_buf(span):
+    out, err = _Writes(), io.StringIO()
+    stdin = io.StringIO(f"c 2 {span}\ne 1 2 1\n")
+    code = run(["verify", "-"], stdin=stdin, stdout=out, stderr=err)
+    assert (code, err.getvalue()) == (1, "")
+    assert out.getvalue() == f"FAIL: {span - 1} violation(s)\n" + "".join(
+        f"  color-unused at color {c}\n" for c in range(2, span + 1)
+    )
+    assert max(out.sizes) <= cli_module._PIPE_BUF
+    # Every write ends a line, so no line is split between two writes.
+    ends = list(accumulate(out.sizes))
+    assert all(out.getvalue()[end - 1] == "\n" for end in ends)
 
 
 def test_verify_listing_is_the_library_report():
@@ -196,6 +228,26 @@ def test_non_utf8_file_is_usage_error_naming_the_path(tmp_path, command):
     code, out, err = run_cli([command[0], str(path), *command[1:]])
     assert code == 2 and not out
     assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+
+
+def _cli_child(*argv, env=None):
+    # The installed entry point, cli.main, in a child process reading stdin.
+    src = os.path.dirname(os.path.dirname(intervalcoloring.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return subprocess.Popen(
+        [sys.executable, "-c", "from intervalcoloring.cli import main; main()", *argv],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path, **(env or {})},
+    )
+
+
+def test_non_utf8_stdin_is_usage_error_as_for_a_file():
+    # The bytes that test_non_utf8_file_is_usage_error_naming_the_path
+    # writes to a file, through stdin: the same decode error, naming '-'.
+    child = _cli_child("verify", "-")
+    out, err = child.communicate(b"c 2 1\ne 1 2 1\n\xff\n", timeout=60)
+    assert (child.returncode, out) == (2, b"")
+    assert err.startswith(b"error: cannot read -: 'utf-8' codec can't decode byte 0xff")
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 25, 60])
@@ -454,13 +506,7 @@ def test_verify_exits_quietly_when_a_real_pipe_closes(text, first):
     # `verify - | head -1` on a long listing, through an OS pipe and an
     # unbuffered stdout, where a write that the closing pipe cuts short
     # returns without raising: the exit must still be 141.
-    src = os.path.dirname(os.path.dirname(intervalcoloring.__file__))
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": "1"}
-    child = subprocess.Popen(
-        [sys.executable, "-c", "from intervalcoloring.cli import main; main()", "verify", "-"],
-        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
+    child = _cli_child("verify", "-", env={"PYTHONUNBUFFERED": "1"})
     child.stdin.write(text.encode())
     child.stdin.close()
     line = child.stdout.readline()

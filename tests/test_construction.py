@@ -2,10 +2,9 @@ from itertools import combinations
 
 import pytest
 
-from conftest import palettes
+from conftest import classifier_twin, palettes
 from intervalcoloring import (
     CASE_COUNT,
-    EdgeColoring,
     case_color,
     case_statistics,
     classify_edge,
@@ -15,6 +14,7 @@ from intervalcoloring import (
     round_robin,
     verify_interval,
 )
+from intervalcoloring.construction import _runs
 
 # Hand-evaluated clause table at n=3 (all 15 edges of K_6): left region
 # (j <= 3) splits on i+j vs 4/5, the cross region on j-i vs 1/2/3, and
@@ -113,6 +113,23 @@ def test_construct_agrees_with_classifier(n):
     c = construct(n)
     for (i, j), color in c.assignment.items():
         assert color == case_color(n, i, j, classify_edge(n, i, j))
+    for case, i, lo, hi, shift in _runs(n):
+        for j in range(lo, hi):
+            assert classify_edge(n, i, j) == case, (i, j)
+            assert case_color(n, i, j, case) == j + shift, (i, j)
+
+
+def test_runs_tile_every_row():
+    for n in range(1, 201):
+        rows: dict[int, list[tuple[int, int]]] = {}
+        for _, i, lo, hi, _ in _runs(n):
+            rows.setdefault(i, []).append((lo, hi))
+        assert list(rows) == list(range(1, 2 * n)), n
+        for i, spans in rows.items():
+            assert len(spans) <= 5 and all(lo < hi for lo, hi in spans), (n, i)
+            ends = [i + 1] + [hi for _, hi in spans]
+            assert [lo for lo, _ in spans] == ends[:-1] and ends[-1] == 2 * n + 1, (n, i)
+        assert sum(hi - lo for spans in rows.values() for lo, hi in spans) == n * (2 * n - 1)
 
 
 @pytest.mark.parametrize("n", range(1, 33))
@@ -189,6 +206,20 @@ def test_case_statistics_cover_all_edges():
         case_statistics(0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 13, 30])
+def test_case_statistics_match_the_classifier(n):
+    colors: dict[int, list[int]] = {case: [] for case in range(1, CASE_COUNT + 1)}
+    for i, j in combinations(range(1, 2 * n + 1), 2):
+        case = classify_edge(n, i, j)
+        colors[case].append(case_color(n, i, j, case))
+    expected = [
+        (case, len(c), min(c, default=None), max(c, default=None))
+        for case, c in colors.items()
+    ]
+    stats = case_statistics(n)
+    assert [(s.case, s.edge_count, s.min_color, s.max_color) for s in stats] == expected
+
+
 def test_empty_cases_at_small_n():
     # clause 7 needs i in [n+1, n + n//2 - 1], empty until n >= 4
     stats = {s.case: s.edge_count for s in case_statistics(2)}
@@ -198,13 +229,4 @@ def test_empty_cases_at_small_n():
 
 @pytest.mark.parametrize("n", range(1, 21))
 def test_construct_equals_its_checked_twin(n):
-    # The twin colors each edge through the public clause classifier and
-    # goes through the checking constructor.
-    twin = EdgeColoring(
-        {
-            (i, j): case_color(n, i, j, classify_edge(n, i, j))
-            for i, j in combinations(range(1, 2 * n + 1), 2)
-        },
-        3 * n - 2,
-    )
-    assert construct(n) == twin
+    assert construct(n) == classifier_twin(n)
