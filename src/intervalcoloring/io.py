@@ -13,10 +13,19 @@ Coloring file::
 Tokens are whitespace-separated; blank lines and lines starting with
 ``#`` are ignored.
 
-Each parser is one pass over the lines: a shared ``_header`` reads the
-header, then the parser's own loop accepts a well-formed edge line with
-one length test, ``int`` on each field and one range test.  Any other
-line goes to the shared ``_reject``, which skips blank and comment
+Text as the emitters write it (canonical: a header line, then edge
+lines, each line ended by one newline, fields split by one space,
+numbers with no sign or leading zero) is read in bulk: one regex scan
+for a line break that no canonical edge line follows, one ``json``
+decode of every number, then the range, duplicate and edge-set checks
+as C-level passes over that list.  The bulk path raises nothing: any
+other text, and canonical text that fails a check, goes to the
+parser's line loop, which names every error.
+
+Each line loop is one pass over the lines: a shared ``_header`` reads
+the header, then the parser's own loop accepts a well-formed edge line
+with one length test, ``int`` on each field and one range test.  Any
+other line goes to the shared ``_reject``, which skips blank and comment
 lines and raises the line's FormatError, so the checks and their order
 live in one place.  The parsed data is checked here once and handed to
 ``Graph`` and ``EdgeColoring`` without a second check.
@@ -30,8 +39,10 @@ runs of consecutive edges in a row (construct's clause runs).
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import add
+import json
+import re
+from itertools import islice, repeat
+from operator import add, lt
 from typing import Iterable, Iterator
 
 from .coloring import EdgeColoring, _canonical_coloring
@@ -118,8 +129,56 @@ def _reject(tokens: list[str], lineno: int, vertex_count: int, arity: int) -> No
     )
 
 
+_NUMBER = "[1-9][0-9]*"
+# (canonical header line, a line break that no canonical edge line or
+# the end of the text follows).  The second is searched, not matched
+# over the body: a repeated group would make sre keep backtracking
+# state in proportion to the line count.
+_GRAPH_SHAPE = (
+    re.compile(f"p {_NUMBER} (?:0|{_NUMBER})\n"),
+    re.compile(f"\n(?!e {_NUMBER} {_NUMBER}\n|\\Z)"),
+)
+_COLORING_SHAPE = (
+    re.compile(f"c {_NUMBER} {_NUMBER}\n"),
+    re.compile(f"\n(?!e {_NUMBER} {_NUMBER} {_NUMBER}\n|\\Z)"),
+)
+
+
+def _canonical_ints(
+    text: str, shape: tuple[re.Pattern[str], re.Pattern[str]]
+) -> list[int] | None:
+    """Every number of canonical `text` in order, header first; else None."""
+    header, stray_break = shape
+    match = header.match(text)
+    if match is None or stray_break.search(text, match.end() - 1):
+        return None
+    # "c 4 4\ne 1 2 1\n" -> "[4,4,1,2,1\n]": no string is made per token.
+    try:
+        return json.loads("[" + text[2:].replace("\ne ", " ").replace(" ", ",") + "]")
+    except ValueError:  # a number past int's digit limit
+        return None
+
+
+def _edges_in_range(flat: list[int], arity: int) -> bool:
+    """Whether every edge in `flat` (see _canonical_ints) has i < j <= vertex_count."""
+    return max(islice(flat, 3, None, arity), default=0) <= flat[0] and all(
+        map(lt, islice(flat, 2, None, arity), islice(flat, 3, None, arity))
+    )
+
+
 def parse_graph(text: str) -> Graph:
     """Parse a graph file; all malformations raise FormatError."""
+    flat = _canonical_ints(text, _GRAPH_SHAPE)
+    if flat is not None and _edges_in_range(flat, 2):
+        it = islice(flat, 2, None)
+        edges = frozenset(zip(it, it))
+        if len(edges) == flat[1] == (len(flat) - 2) // 2:
+            return _canonical_graph(flat[0], edges)
+    return _parse_graph_lines(text)
+
+
+def _parse_graph_lines(text: str) -> Graph:
+    """parse_graph's line loop: any text, naming the first error."""
     lines = enumerate(text.splitlines(), start=1)
     header_line, vertex_count, edge_count = _header(lines, "p", "edge_count")
     if edge_count < 0:
@@ -167,6 +226,31 @@ def parse_coloring_with_graph(
     (unknown-edge / missing-edge errors otherwise).  Without it, the
     graph is reconstructed from the edge lines themselves.
     """
+    flat = _canonical_ints(text, _COLORING_SHAPE)
+    if (
+        flat is not None
+        and (graph is None or graph.vertex_count == flat[0])
+        and _edges_in_range(flat, 3)
+        and max(islice(flat, 4, None, 3), default=0) <= flat[1]
+    ):
+        vertex_count, span_t, lines = flat[0], flat[1], (len(flat) - 2) // 3
+        it = islice(flat, 2, None)
+        assignment = dict(zip(zip(it, it), it))
+        del flat, it  # freed before the graph's frozenset is built
+        if len(assignment) == lines and (  # no duplicate, unknown or missing edge
+            graph is None
+            or (lines == graph.edge_count and graph.edges.issuperset(assignment))
+        ):
+            if graph is None:
+                graph = _canonical_graph(vertex_count, frozenset(assignment))
+            return graph, _canonical_coloring(assignment, span_t)
+    return _parse_coloring_lines(text, graph)
+
+
+def _parse_coloring_lines(
+    text: str, graph: Graph | None
+) -> tuple[Graph, EdgeColoring]:
+    """parse_coloring_with_graph's line loop: any text, naming the first error."""
     lines = enumerate(text.splitlines(), start=1)
     header_line, vertex_count, span_t = _header(lines, "c", "span_t")
     if span_t < 1:

@@ -1,4 +1,6 @@
 import gc
+import io
+import tracemalloc
 from itertools import combinations
 from types import FrameType, MappingProxyType
 
@@ -26,6 +28,8 @@ from intervalcoloring import (
     parse_graph,
     round_robin,
 )
+from intervalcoloring import cli
+from intervalcoloring import io as formats
 
 
 def test_parse_graph_k2():
@@ -269,8 +273,11 @@ def test_unchecked_coloring_is_read_only_and_holds_the_only_reference(make):
 MUTATIONS = (
     "drop", "extra", "swap", "plus", "underscore", "bad-token", "separator",
     "comment", "blank", "id-range", "color-range", "repeat", "delete", "directive",
+    "leading-zero", "non-ascii-digit", "trailing-space", "crlf", "no-header",
 )
 SEPARATORS = ("\t", "\x0c", "\xa0", "  ", " \t ")
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                             "\u0665\u0666\u0667\u0668\u0669")
 
 
 @st.composite
@@ -299,6 +306,15 @@ def mutated(draw, text: str, vertex_count: int, span: int) -> str:
         if kind == "delete" and len(lines) > 1:
             del lines[k]
             continue
+        if kind == "no-header":  # the edge lines after it stay canonical
+            lines[0] = draw(st.sampled_from(["# header", "", " "]))
+            continue
+        if kind == "trailing-space":
+            lines[k] += " "
+            continue
+        if kind == "crlf":
+            lines[k] += "\r"
+            continue
         if kind == "drop" and tokens:
             del tokens[index]
         elif kind == "extra":
@@ -320,6 +336,12 @@ def mutated(draw, text: str, vertex_count: int, span: int) -> str:
             tokens[3] = str(draw(st.sampled_from([0, -2, span + 1])))
         elif kind == "directive" and tokens:
             tokens[0] = draw(st.sampled_from(["q", "E", "ee"]))
+        elif kind == "leading-zero" and tokens:
+            tokens[index] = "0" + tokens[index]
+        elif kind == "non-ascii-digit" and tokens:
+            tokens[index] = draw(st.sampled_from(
+                ["\u0661", tokens[index].translate(ARABIC_INDIC)]
+            ))
         lines[k] = sep.join(tokens)
     return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
 
@@ -345,13 +367,15 @@ def sources(draw):
 @st.composite
 def mutated_graph_files(draw):
     g, _ = draw(sources())
-    return draw(mutated(emit_graph(g), g.vertex_count, 0))
+    text = emit_graph(g)
+    return draw(st.one_of(st.just(text), mutated(text, g.vertex_count, 0)))
 
 
 @st.composite
 def mutated_coloring_files(draw):
     g, c = draw(sources())
-    text = draw(mutated(emit_coloring(g, c), g.vertex_count, c.span_t))
+    text = emit_coloring(g, c)
+    text = draw(st.one_of(st.just(text), mutated(text, g.vertex_count, c.span_t)))
     given = draw(st.sampled_from(["none", "same", "other"]))
     if given == "none":
         return text, None
@@ -374,3 +398,104 @@ def test_parse_coloring_agrees_with_the_reference_parser(case):
     assert _outcome(parse_coloring_with_graph, text, graph) == _outcome(
         reference_parse_coloring_with_graph, text, graph
     )
+
+
+# ------------------------------------------------------- bulk accept path
+# Canonical text (as emitted) is read without the line loop; any error in
+# it is named by the line loop, exactly as the reference parser names it.
+
+
+def _construct_text(n):
+    out = io.StringIO()
+    assert cli.run(["construct", "--n", str(n)], stdout=out) == 0
+    return out.getvalue()
+
+
+def test_canonical_text_takes_the_bulk_path(monkeypatch, tmp_path):
+    text = _construct_text(60)
+    graph_text = emit_graph(complete_graph(120))
+    (tmp_path / "k120.graph").write_text(graph_text)
+
+    def no_line_loop(*args):
+        raise AssertionError("canonical text went to the line loop")
+
+    monkeypatch.setattr(formats, "_parse_graph_lines", no_line_loop)
+    monkeypatch.setattr(formats, "_parse_coloring_lines", no_line_loop)
+    assert parse_coloring_with_graph(text) == (complete_graph(120), construct(60))
+    assert parse_graph(graph_text) == complete_graph(120)
+    out = io.StringIO()
+    argv = ["verify", "-", "--graph", str(tmp_path / "k120.graph")]
+    assert cli.run(argv, stdin=io.StringIO(text), stdout=out) == 0
+    assert out.getvalue().startswith("PASS: interval coloring of 120 vertices")
+
+
+def _edit_line(text, lineno, new=None):
+    """`text` with line `lineno` replaced by `new`, or deleted if it is None."""
+    lines = text.split("\n")
+    lines[lineno - 1 : lineno] = [] if new is None else [new]
+    return "\n".join(lines)
+
+
+K120 = complete_graph(120)
+# (name, edit of the K_120 coloring text, graph given, kind).  Lines 7139
+# to 7141 hold edges (118, 119), (118, 120) and (119, 120).  Each edit
+# keeps the text canonical, so the bulk path reads it before declining.
+BULK_REJECTS = [
+    ("duplicate", lambda t: t + t.splitlines()[-3] + "\n", None, "duplicate-edge"),
+    ("color", lambda t: _edit_line(t, 7139, "e 118 119 179"), None,
+     "color-out-of-range"),
+    ("i>j", lambda t: _edit_line(t, 7139, "e 119 118 3"), None, "noncanonical-edge"),
+    ("id", lambda t: _edit_line(t, 7139, "e 118 121 3"), None, "id-out-of-range"),
+    # As many lines as the graph has edges, one of them not in it.
+    ("unknown", lambda t: _edit_line(t, 7140), Graph(120, K120.edges - {(118, 119)}),
+     "unknown-edge"),
+    ("missing", lambda t: _edit_line(t, 7139), K120, "missing-edge"),
+    ("mismatch", lambda t: t, Graph(121, K120.edges), "graph-mismatch"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit,graph,kind", [row[1:] for row in BULK_REJECTS],
+    ids=[row[0] for row in BULK_REJECTS],
+)
+def test_errors_in_canonical_text_are_named_as_the_reference_names_them(
+    edit, graph, kind
+):
+    text = edit(_construct_text(60))
+    want = _outcome(reference_parse_coloring_with_graph, text, graph)
+    assert want[:2] == ("error", kind)
+    assert _outcome(parse_coloring_with_graph, text, graph) == want
+
+
+@pytest.mark.parametrize(
+    "edit,kind",
+    [(lambda t: t + "e 118 119\n", "duplicate-edge"),
+     (lambda t: _edit_line(t, 7140, "e 120 119"), "noncanonical-edge"),
+     (lambda t: _edit_line(t, 7140, "e 119 121"), "id-out-of-range"),
+     (lambda t: _edit_line(t, 7140), "count-mismatch")],
+    ids=["duplicate", "i>j", "id", "count"],
+)
+def test_errors_in_canonical_graph_text_are_named_as_the_reference_names_them(
+    edit, kind
+):
+    text = edit(emit_graph(K120))
+    want = _outcome(reference_parse_graph, text)
+    assert want[:2] == ("error", kind)
+    assert _outcome(parse_graph, text) == want
+
+
+@pytest.mark.parametrize(
+    "text,parse",
+    [(_construct_text(100), parse_coloring_with_graph),
+     (emit_graph(complete_graph(200)), parse_graph)],
+    ids=["coloring", "graph"],
+)
+def test_parse_peak_memory_is_bounded_by_its_result(text, parse):
+    tracemalloc.start()
+    try:
+        result = parse(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result
+    assert peak - held < 1 << 20
