@@ -4,7 +4,9 @@ Subcommands: construct, verify, bounds, search, cases.  Every command
 is deterministic.  Exit codes: 0 success / verified / found, 1 a check
 failed (verification FAIL, or a requested coloring was not found), 2
 usage or input errors, 141 (the shell's SIGPIPE status) when stdout is
-closed early, with no traceback.
+closed early, with no traceback.  ``verify`` checks canonical text
+from its number columns, with no graph or coloring object, and other
+text as the line loop parses it; both report as ``verify_interval``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import TextIO
 
 from . import bounds as bounds_mod
 from . import io as formats
-from .coloring import _check_interval, _fail_listing
+from .coloring import _check_interval, _check_palettes, _fail_listing
 from .construction import _runs, case_statistics
 from .graph import Graph
 from .search import (
@@ -89,17 +91,25 @@ def _cmd_verify(args: argparse.Namespace, stdout: TextIO, stdin: TextIO) -> int:
     if args.coloring == "-" and args.graph == "-":
         raise ValueError("only one of the inputs can read stdin")
     graph = _load_graph(args.graph, stdin) if args.graph else None
-    try:
-        graph, coloring = formats.parse_coloring_with_graph(
-            _read_text(args.coloring, stdin), graph
-        )
-    except formats.FormatError as exc:
-        raise ValueError(f"{args.coloring}: {exc}") from None
-    violations, unused = _check_interval(graph, coloring)
+    text = _read_text(args.coloring, stdin)
+    columns = formats._coloring_columns(text, graph)
+    if columns is not None:  # canonical text with the graph's edges, in range
+        vertex_count, span_t, us, vs, cs = columns
+        del text, columns  # freed before the palettes are built
+        violations, unused = _check_palettes(us, vs, cs, span_t, ())
+        edge_count = len(cs)
+    else:
+        try:
+            graph, coloring = formats._parse_coloring_lines(text, graph)
+        except formats.FormatError as exc:
+            raise ValueError(f"{args.coloring}: {exc}") from None
+        violations, unused = _check_interval(graph, coloring)
+        vertex_count, span_t = graph.vertex_count, coloring.span_t
+        edge_count = graph.edge_count
     if not violations and not unused:
         stdout.write(
-            f"PASS: interval coloring of {graph.vertex_count} vertices, "
-            f"span {coloring.span_t}, {graph.edge_count} edges\n"
+            f"PASS: interval coloring of {vertex_count} vertices, "
+            f"span {span_t}, {edge_count} edges\n"
         )
         return 0
     # Each write is whole lines of at most PIPE_BUF bytes (all ASCII), so

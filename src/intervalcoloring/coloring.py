@@ -3,7 +3,8 @@
 A coloring with span t is *interval* when it is a proper edge coloring
 with colors 1..t, every color in 1..t appears on at least one edge, and
 the colors incident to each vertex x form a consecutive block of exactly
-degree(x) integers.
+degree(x) integers.  ``_check_palettes`` reads the edges as columns u,
+v, color, so ``verify_interval`` and the CLI's ``verify`` share it.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Collection, Container, Iterable, Iterator, Mapping
 
 from .graph import Edge, Graph
 
@@ -117,39 +119,55 @@ def _check_interval(
 ) -> tuple[list[Violation], list[tuple[int, int]]]:
     """Every violation but color-unused, and the unused colors as runs.
 
-    The runs (lo, hi) are ascending and disjoint and cover exactly the
-    colors in 1..span_t that are on no edge of g.  They come from the
-    sorted distinct colors on the edges of g, so the work is bounded by
-    the edges, not by span_t or vertex_count.
+    The edge-set and color-range checks are made here; the palettes of
+    the edges of g that are colored go to _check_palettes.
     """
     t = coloring.span_t
     assignment = coloring.assignment
     violations: list[Violation] = []
-
-    incident: defaultdict[int, list[int]] = defaultdict(list)
     incomplete: set[int] = set()
 
     if assignment.keys() == g.edges:
-        colored_items = assignment.items()
+        edges, colors = assignment.keys(), assignment.values()
     else:
         for e in sorted(g.edges - assignment.keys()):
             violations.append(Violation(ViolationKind.EDGE_UNCOLORED, edge=e))
             incomplete.update(e)
         for e in sorted(assignment.keys() - g.edges):
             violations.append(Violation(ViolationKind.EDGE_UNKNOWN, edge=e))
-        colored_items = [(e, assignment[e]) for e in g.edges & assignment.keys()]
+        edges = g.edges & assignment.keys()
+        colors = [assignment[e] for e in edges]
 
-    out_of_range: list[tuple[Edge, int]] = []
-    for (u, v), c in colored_items:
+    if max(colors, default=0) > t:  # colors are positive, so only > t is out of range
+        violations.extend(
+            Violation(ViolationKind.COLOR_OUT_OF_RANGE, edge=e, color=assignment[e])
+            for e in sorted(edges)
+            if assignment[e] > t
+        )
+    found, unused = _check_palettes(
+        map(itemgetter(0), edges), map(itemgetter(1), edges), colors, t, incomplete
+    )
+    return violations + found, unused
+
+
+def _check_palettes(
+    us: Iterable[int],
+    vs: Iterable[int],
+    cs: Collection[int],
+    t: int,
+    incomplete: Container[int],
+) -> tuple[list[Violation], list[tuple[int, int]]]:
+    """The not-proper and not-consecutive violations of the edges (u, v)
+    colored c, and the unused colors as runs (lo, hi), ascending and
+    disjoint, from the sorted distinct colors: the work is bounded by the
+    edges, not by t.  Vertices in `incomplete` have an uncolored edge and
+    are not tested for consecutive colors."""
+    incident: defaultdict[int, list[int]] = defaultdict(list)
+    for u, v, c in zip(us, vs, cs):
         incident[u].append(c)
         incident[v].append(c)
-        if c > t or c < 1:
-            out_of_range.append(((u, v), c))
-    violations.extend(
-        Violation(ViolationKind.COLOR_OUT_OF_RANGE, edge=e, color=c)
-        for e, c in sorted(out_of_range)
-    )
 
+    violations: list[Violation] = []
     for x, colors in sorted(incident.items()):
         distinct = set(colors)
         if len(distinct) != len(colors):
@@ -157,12 +175,9 @@ def _check_interval(
         if x not in incomplete and max(distinct) - min(distinct) + 1 != len(distinct):
             violations.append(Violation(ViolationKind.NOT_CONSECUTIVE, vertex=x))
 
-    used: set[int] = set()
-    for colors in incident.values():
-        used.update(colors)
     unused: list[tuple[int, int]] = []
     last = 0  # the highest used color in 1..t seen so far
-    for c in sorted(used):
+    for c in sorted(set(cs)):
         if c > t:
             break
         if c > last + 1:

@@ -20,7 +20,9 @@ for a line break that no canonical edge line follows, one ``json``
 decode of every number, then the range, duplicate and edge-set checks
 as C-level passes over that list.  The bulk path raises nothing: any
 other text, and canonical text that fails a check, goes to the
-parser's line loop, which names every error.
+parser's line loop, which names every error.  ``_coloring_columns``
+hands the CLI's ``verify`` the i, j and color columns of that list, with
+no per-edge object; ``parse_coloring_with_graph`` builds the objects.
 
 Each line loop is one pass over the lines: a shared ``_header`` reads
 the header, then the parser's own loop accepts a well-formed edge line
@@ -217,6 +219,38 @@ def emit_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _coloring_ints(text: str, graph: Graph | None) -> list[int] | None:
+    """_canonical_ints of coloring `text` if its ids, colors and vertex count fit."""
+    flat = _canonical_ints(text, _COLORING_SHAPE)
+    if (
+        flat is None
+        or (graph is not None and graph.vertex_count != flat[0])
+        or not _edges_in_range(flat, 3)
+        or max(islice(flat, 4, None, 3), default=0) > flat[1]
+    ):
+        return None
+    return flat
+
+
+def _coloring_columns(
+    text: str, graph: Graph | None
+) -> tuple[int, int, list[int], list[int], list[int]] | None:
+    """(vertex_count, span_t, i, j and color columns) of coloring `text` that
+    parse_coloring_with_graph's bulk path accepts; else None.  Only edges
+    out of ascending order build a set to rule out duplicates."""
+    flat = _coloring_ints(text, graph)
+    if flat is None:
+        return None
+    us, vs, cs = flat[2::3], flat[3::3], flat[4::3]
+    ascending = all(map(lt, zip(us, vs), zip(islice(us, 1, None), islice(vs, 1, None))))
+    if (ascending or len(set(zip(us, vs))) == len(us)) and (
+        graph is None
+        or (graph.edge_count == len(us) and graph.edges.issuperset(zip(us, vs)))
+    ):
+        return flat[0], flat[1], us, vs, cs
+    return None
+
+
 def parse_coloring_with_graph(
     text: str, graph: Graph | None = None
 ) -> tuple[Graph, EdgeColoring]:
@@ -226,13 +260,8 @@ def parse_coloring_with_graph(
     (unknown-edge / missing-edge errors otherwise).  Without it, the
     graph is reconstructed from the edge lines themselves.
     """
-    flat = _canonical_ints(text, _COLORING_SHAPE)
-    if (
-        flat is not None
-        and (graph is None or graph.vertex_count == flat[0])
-        and _edges_in_range(flat, 3)
-        and max(islice(flat, 4, None, 3), default=0) <= flat[1]
-    ):
+    flat = _coloring_ints(text, graph)
+    if flat is not None:
         vertex_count, span_t, lines = flat[0], flat[1], (len(flat) - 2) // 3
         it = islice(flat, 2, None)
         assignment = dict(zip(zip(it, it), it))

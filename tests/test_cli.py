@@ -4,12 +4,14 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from itertools import accumulate
 
 import pytest
 
 from conftest import classifier_twin
 from intervalcoloring import (
+    FormatError,
     Graph,
     complete_graph,
     emit_coloring,
@@ -22,6 +24,8 @@ from intervalcoloring import (
 import intervalcoloring
 from intervalcoloring import graph as graph_module
 from intervalcoloring import cli as cli_module
+from intervalcoloring import coloring as coloring_module
+from intervalcoloring import io as coloring_io
 from intervalcoloring.cli import main, run
 
 
@@ -150,31 +154,115 @@ def test_verify_writes_the_listing_in_whole_lines_of_at_most_pipe_buf(span):
     assert all(out.getvalue()[end - 1] == "\n" for end in ends)
 
 
-def test_verify_listing_is_the_library_report():
+def _library_verdict(text, graph=None):
+    """verify's (exit code, stdout, stderr) on stdin `text`, from the library,
+    and the FormatError that the line loop raises on it, if any."""
+    try:
+        graph, coloring = parse_coloring_with_graph(text, graph)
+    except FormatError:
+        with pytest.raises(FormatError) as info:
+            coloring_io._parse_coloring_lines(text, graph)
+        return (2, "", f"error: -: {info.value}\n"), info.value
+    v = verify_interval(graph, coloring).violations
+    if not v:
+        out = (
+            f"PASS: interval coloring of {graph.vertex_count} vertices, "
+            f"span {coloring.span_t}, {graph.edge_count} edges\n"
+        )
+        return (0, out, ""), None
+    return (1, f"FAIL: {len(v)} violation(s)\n" + "".join(f"  {x}\n" for x in v), ""), None
+
+
+def test_verify_listing_is_the_library_report(tmp_path):
     # Random colorings of small graphs, colors within the span, some spans
     # raised, some colors repeated: the CLI writes verify_interval's report.
+    # Each file is also read with its lines in edge order, against a graph
+    # file of its edges, of one edge more, less or swapped, and with a line
+    # repeated.
     rng = random.Random(15)
+    gpath = tmp_path / "g.graph"
     for _ in range(300):
         n = rng.randint(2, 7)
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         edges = rng.sample(pairs, rng.randint(1, len(pairs)))
         span = rng.randint(1, 2 * n) + rng.choice([0, 0, rng.randint(1, 40)])
         palette = rng.sample(range(1, span + 1), min(span, rng.randint(1, 4)))
-        text = f"c {n} {span}\n" + "".join(
-            f"e {i} {j} {rng.choice(palette)}\n" for i, j in edges
-        )
-        code, out, err = run_cli(["verify", "-"], text)
-        graph, coloring = parse_coloring_with_graph(text)
-        v = verify_interval(graph, coloring).violations
-        assert err == ""
-        if not v:
-            assert code == 0
-            assert out == (
-                f"PASS: interval coloring of {n} vertices, span {span}, {len(edges)} edges\n"
-            )
-        else:
-            assert code == 1
-            assert out == f"FAIL: {len(v)} violation(s)\n" + "".join(f"  {x}\n" for x in v)
+        lines = [f"e {i} {j} {rng.choice(palette)}\n" for i, j in edges]
+        text = f"c {n} {span}\n" + "".join(lines)
+        expected, _ = _library_verdict(text)
+        assert expected[0] != 2
+        assert run_cli(["verify", "-"], text) == expected
+        in_order = [line for _, line in sorted(zip(edges, lines))]
+        ordered = f"c {n} {span}\n" + "".join(in_order)
+        assert run_cli(["verify", "-"], ordered) == _library_verdict(ordered)[0]
+
+        graph = graph_from_edges(n, edges)
+        gpath.write_text(emit_graph(graph))
+        assert run_cli(["verify", "-", "--graph", str(gpath)], text) == _library_verdict(
+            text, graph
+        )[0]
+        other = sorted(set(pairs) - set(edges))
+        changes = [(set(edges) - {rng.choice(edges)}, "unknown-edge")]
+        if other:  # one edge more, and one edge swapped for another
+            added = rng.choice(other)
+            changes.append((set(edges) | {added}, "missing-edge"))
+            changes.append((set(edges) - {rng.choice(edges)} | {added}, "unknown-edge"))
+        for changed, kind in changes:
+            changed = graph_from_edges(n, changed)
+            gpath.write_text(emit_graph(changed))
+            expected, exc = _library_verdict(text, changed)
+            assert exc.kind == kind
+            assert run_cli(["verify", "-", "--graph", str(gpath)], text) == expected
+
+        # A repeat in edge order fails the ascending test on the repeat alone.
+        body, k = rng.choice([lines, in_order]), rng.randrange(len(lines))
+        repeated = f"c {n} {span}\n" + "".join(body[: k + 1] + body[k:])
+        expected, exc = _library_verdict(repeated)
+        assert (exc.kind, exc.line) == ("duplicate-edge", k + 3)
+        assert run_cli(["verify", "-"], repeated) == expected
+
+
+def test_canonical_text_takes_the_column_path(monkeypatch, tmp_path):
+    # Canonical text is checked from its number columns: neither parser,
+    # nor the object checker, is called for a PASS or a FAIL.
+    _, text, _ = run_cli(["construct", "--n", "60"])
+    (tmp_path / "k120.graph").write_text(emit_graph(complete_graph(120)))
+    lines = text.split("\n")
+    assert lines[1:3] == ["e 1 2 1", "e 1 3 2"]  # adjacent at vertex 1
+    not_proper = "\n".join([lines[0], lines[1], "e 1 3 1", *lines[3:]])
+    assert lines[0] == "c 120 178"
+    raised = "c 120 183" + text[len(lines[0]):]
+    expected = {t: _library_verdict(t)[0] for t in (not_proper, raised)}
+    assert all(code == 1 for code, _, _ in expected.values())
+
+    def refuse(*args):
+        raise AssertionError("canonical text left the column path")
+
+    monkeypatch.setattr(coloring_io, "_parse_coloring_lines", refuse)
+    monkeypatch.setattr(coloring_io, "parse_coloring_with_graph", refuse)
+    monkeypatch.setattr(coloring_module, "_check_interval", refuse)
+    monkeypatch.setattr(cli_module, "_check_interval", refuse)
+    pass_line = "PASS: interval coloring of 120 vertices, span 178, 7140 edges\n"
+    assert run_cli(["verify", "-"], text) == (0, pass_line, "")
+    argv = ["verify", "-", "--graph", str(tmp_path / "k120.graph")]
+    assert run_cli(argv, text) == (0, pass_line, "")
+    for edited, want in expected.items():
+        assert run_cli(["verify", "-"], edited) == want
+
+
+def test_verify_peak_memory_is_bounded():
+    # The column path holds the text's numbers and the palettes, and no
+    # per-edge tuple, dict or set: 2.2 MB here, against 3.9 MB for the
+    # coloring's dict and graph.
+    _, text, _ = run_cli(["construct", "--n", "100"])
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(["verify", "-"], text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out.startswith("PASS")
+    assert peak < 3 << 20
 
 
 def test_verify_against_graph_file(tmp_path):

@@ -106,6 +106,21 @@ def test_verify_color_out_of_range():
     assert ViolationKind.COLOR_OUT_OF_RANGE in kinds
 
 
+def test_verify_reports_every_finding_in_order():
+    # Vertex 1 sees {1, 3} but has the uncolored edge (1, 3), so its gap is
+    # not reported; vertex 2 sees {1, 5}, 5 being one above the span.
+    g = graph_from_edges(4, [(1, 2), (1, 3), (1, 4), (2, 3)])
+    c = EdgeColoring({(1, 2): 1, (1, 4): 3, (2, 3): 5, (3, 4): 2}, span_t=4)
+    assert [str(v) for v in verify_interval(g, c).violations] == [
+        "edge-uncolored at edge (1, 3)",
+        "edge-unknown at edge (3, 4)",
+        "color-out-of-range at edge (2, 3), color 5",
+        "not-consecutive at vertex 2",
+        "color-unused at color 2",
+        "color-unused at color 4",
+    ]
+
+
 def test_verify_gap_palette():
     # path 1-2-3 colored 1, 3: vertex 2 sees {1, 3}, a gap
     g = graph_from_edges(3, [(1, 2), (2, 3)])
