@@ -1,6 +1,7 @@
 import random
 import time
 import tracemalloc
+from collections import Counter
 from itertools import combinations, islice, product
 
 import pytest
@@ -437,6 +438,27 @@ def test_sweep_node_total_over_small_graphs_is_pinned():
     assert all(r.complete for r in results)
     assert sum(len(r.probes) for r in results) == 147
     assert sum(p.nodes_explored for r in results for p in r.probes) == 775
+
+
+def test_sweep_node_total_over_random_5_to_7_vertex_graphs_is_pinned():
+    # The shape family of the search-exact benchmark: 40 random edge sets
+    # on each of 5, 6 and 7 vertices, swept from 2|V| at its node budget.
+    rng = random.Random(2121)
+    probes = nodes = 0
+    spans = Counter()
+    for v in (5, 6, 7):
+        pairs = list(combinations(range(1, v + 1), 2))
+        for _ in range(40):
+            g = graph_from_edges(v, rng.sample(pairs, rng.randint(1, len(pairs))))
+            result = compute_max_span(g, 2 * v, node_budget=5_000)
+            assert result.complete, g
+            if result.witness is not None:
+                assert verify_interval(g, result.witness).verdict, g
+            probes += len(result.probes)
+            nodes += sum(p.nodes_explored for p in result.probes)
+            spans[result.max_span] += 1
+    assert (probes, nodes) == (559, 19_130)
+    assert spans == {0: 21, 1: 15, 2: 10, 3: 11, 4: 15, 5: 16, 6: 16, 7: 12, 8: 4}
 
 
 def test_sweep_work_is_not_sized_by_the_header():
