@@ -13,9 +13,10 @@ matching on S_c = {v : a_v <= c <= e_v}.  Phase A picks the starts a_v
 one color at a time; phase B then colors the edges one color at a time.
 A node is one start decision (the set of vertices that start at one
 color) or one edge placement.  Phase A keeps one start and one lim
-(start deadline) list for the whole probe; each level logs what its
-choice changed and undoes it before its next choice and when it is
-popped.  A node's work is bounded by S_c, the unstarted neighbors of
+(start deadline) list for the whole probe; each level logs the
+deadlines its choice lowered and restores them before its next choice
+(a start is read only once its vertex has started, so starts need no
+undo).  A node's work is bounded by S_c, the unstarted neighbors of
 started vertices and the twin classes its start set reaches, not by
 every vertex; entering phase B costs O(|E|) plus one matching check per
 color.  Prunes:
@@ -31,8 +32,10 @@ color.  Prunes:
   palettes can still end at t: a started v with a_v + deg(v) - 1 = t,
   or an unstarted w whose start deadline is still t - deg(w) + 1 (the
   deadlines only drop).  Phase A keeps that vertex set and the count of
-  edges inside it, updated only where a vertex starts or a deadline
-  drops, and rejects a node that leaves no such edge;
+  edges inside it.  A start set's leavers come from bitmasks before
+  anything is written (a started neighbor's deadline is lowered below
+  t - deg(w) + 1 exactly when deg(w) <= t - e_v), so a node that leaves
+  no such edge is rejected with nothing to undo;
 * earliest deadline first -- edge vw takes a color in
   [max(a_v, a_w), min(e_v, e_w)], distinct at each vertex: checked in
   full for each vertex that starts and, in phase B, for each vertex of
@@ -142,14 +145,6 @@ def _fits(lo: int, hi: int, windows: list[tuple[int, int]]) -> bool:
     return True
 
 
-def _bits(mask: int):
-    """Indices of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _may_match(nbr: list[int], s: int) -> bool:
     """A necessary test for G[S] to have a perfect matching, for a vertex mask S.
 
@@ -175,8 +170,10 @@ def _may_match(nbr: list[int], s: int) -> bool:
         part = grow = s & -s
         while grow:
             reach = 0
-            for v in _bits(grow):
-                reach |= nbr[v]
+            while grow:
+                low = grow & -grow
+                grow ^= low
+                reach |= nbr[low.bit_length() - 1]
             grow = reach & s & ~part
             part |= grow
         if part.bit_count() & 1:
@@ -205,86 +202,105 @@ class _PaletteSweep:
         self.by_degree: dict[int, int] = {}  # degree -> vertices of that degree
         for v, d in enumerate(self.deg):
             self.by_degree[d] = self.by_degree.get(d, 0) | 1 << v
+        self.at_most = [0]  # at_most[r]: vertices of degree <= r, for r <= max degree
+        for d in range(1, self.max_degree + 1):
+            self.at_most.append(self.at_most[-1] | self.by_degree.get(d, 0))
         # Memoized for the whole sweep: probes at different spans meet the same sets.
         self.may_match = cache(partial(_may_match, self.nbr))
 
     def probe(self, t: int, budget: int) -> SearchOutcome:
         """Decide span t; a node is one start decision or one edge placement."""
-        deg, adj, nbr = self.deg, self.adj, self.nbr
+        deg, adj, nbr, at_most = self.deg, self.adj, self.nbr, self.at_most
         if t < self.max_degree or len(self.edges) < t:
             return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, None, 0)
         k = len(deg)
+        top = self.max_degree
         nodes = 0
-        # start[v] == 0 means not started yet.  lim[w] is the last color an
-        # unstarted w may start at: its palette must end by t and reach
-        # the end of every started neighbor's palette.  Both lists serve
-        # the whole probe: trail logs each lowered lim as a (w, old) pair,
-        # and a level's entries begin at its mark.  frontier holds the
-        # unstarted vertices with a started neighbor: any other unstarted
-        # vertex still has lim t - deg + 1.  ends holds the vertices whose
+        # start[v] is the color v starts at, read only once v has started.
+        # lim[w] is the last color an unstarted w may start at: its
+        # palette must end by t and reach the end of every started
+        # neighbor's palette.  Both lists serve the whole probe: trail
+        # logs each lowered lim as a (w, old) pair, and a level's entries
+        # begin at its mark; restoring from a level's mark also undoes
+        # what its popped children wrote.  frontier holds the unstarted
+        # vertices with a started neighbor: any other unstarted vertex
+        # still has lim t - deg + 1.  ends holds the vertices whose
         # palette can still end at t, and inside counts the edges with
-        # both ends in ends (the color-t prune).
+        # both ends in ends (the color-t prune).  An unstarted w in ends
+        # has lim[w] = t - deg(w) + 1, so a starter v lowers it, and w
+        # leaves ends, exactly when deg(w) <= t - e_v; a palette from at
+        # most c to t is longer, so started vertices need no filter.  A
+        # start set's leavers are thus found from masks, and a set the
+        # prune rejects writes nothing.
         start = [0] * k
         lim = [t - d + 1 for d in deg]
         trail: list[int] = []
         everyone = (1 << k) - 1
         base, choices = self._level(t, 1, start, lim, everyone, 0, 0)
-        # A level: [c, left, frontier, ends, inside, base, choices, new, trail mark]
-        levels = [[1, everyone, 0, everyone, len(self.edges), base, choices, 0, 0]]
+        # A level: [c, left, frontier, ends, inside, base, choices, trail mark]
+        levels = [[1, everyone, 0, everyone, len(self.edges), base, choices, 0]]
         while levels:
-            level = levels[-1]
-            c, left, frontier, ends, inside, base, choices, new, mark = level
-            if new:  # undo the previous choice
-                level[7] = 0
-                for v in _bits(new):
-                    start[v] = 0
-                for i in range(len(trail) - 2, mark - 1, -2):
-                    lim[trail[i]] = trail[i + 1]
-                del trail[mark:]
-            x = next(choices, None)
-            if x is None:
-                levels.pop()
-                continue
-            s = base | x
-            if not s:
-                continue
-            if budget and nodes == budget:
-                return SearchOutcome(SearchStatus.BUDGET_EXCEEDED, None, nodes)
-            nodes += 1
-            if not self.may_match(s):
-                continue
-            new = s & left
-            if new:
-                level[7] = new
-                left ^= new
-                for v in _bits(new):
-                    start[v] = c
-                    end = c + deg[v] - 1
-                    frontier |= nbr[v]
-                    if end != t and ends >> v & 1:
-                        ends ^= 1 << v
-                        inside -= (nbr[v] & ends).bit_count()
-                    for w in adj[v]:  # a started vertex's lim is never read again
-                        if left >> w & 1 and lim[w] > end:
-                            trail.append(w)
-                            trail.append(lim[w])
-                            lim[w] = end
-                            if ends >> w & 1:
-                                ends ^= 1 << w
-                                inside -= (nbr[w] & ends).bit_count()
-                if not inside:
+            c, left, frontier, ends, inside, base, choices, mark = levels[-1]
+            room = t - c + 1  # t - e_v == room - deg(v) for a starter v
+            for x in choices:
+                if len(trail) > mark:  # undo the previous choice
+                    for i in range(len(trail) - 2, mark - 1, -2):
+                        lim[trail[i]] = trail[i + 1]
+                    del trail[mark:]
+                s = base | x
+                if not s:
                     continue
-                frontier &= left
-            if not self._starts_fit(c, s, start, lim, left):
-                continue
-            if left:
-                base, choices = self._level(t, c + 1, start, lim, left, frontier, s)
-                levels.append([c + 1, left, frontier, ends, inside, base, choices, 0, len(trail)])
-                continue
-            outcome = self._color_edges(t, start, budget, nodes)
-            if outcome.status is not SearchStatus.EXHAUSTED_NO_SOLUTION:
-                return outcome
-            nodes = outcome.nodes_explored
+                if budget and nodes == budget:
+                    return SearchOutcome(SearchStatus.BUDGET_EXCEEDED, None, nodes)
+                nodes += 1
+                if not self.may_match(s):
+                    continue
+                new = s & left
+                # The child's left, frontier, ends and inside.
+                rest, reach, out, count = left ^ new, frontier, ends, inside
+                if new:
+                    gone = 0  # the vertices that leave ends
+                    m = new
+                    while m:
+                        bit = m & -m
+                        m ^= bit
+                        v = bit.bit_length() - 1
+                        r = room - deg[v]
+                        if r:
+                            gone |= bit | nbr[v] & at_most[r if r < top else top]
+                    gone &= ends
+                    while gone:
+                        bit = gone & -gone
+                        gone ^= bit
+                        out ^= bit
+                        count -= (nbr[bit.bit_length() - 1] & out).bit_count()
+                    if not count:
+                        continue
+                    m = new
+                    while m:
+                        bit = m & -m
+                        m ^= bit
+                        v = bit.bit_length() - 1
+                        start[v] = c
+                        end = c + deg[v] - 1
+                        reach |= nbr[v]
+                        for w in adj[v]:  # a started vertex's lim is never read again
+                            if rest >> w & 1 and lim[w] > end:
+                                trail += (w, lim[w])
+                                lim[w] = end
+                    reach &= rest
+                if not self._starts_fit(c, s, start, lim, rest):
+                    continue
+                if rest:
+                    level = self._level(t, c + 1, start, lim, rest, reach, s)
+                    levels.append([c + 1, rest, reach, out, count, *level, len(trail)])
+                    break
+                outcome = self._color_edges(t, start, budget, nodes)
+                if outcome.status is not SearchStatus.EXHAUSTED_NO_SOLUTION:
+                    return outcome
+                nodes = outcome.nodes_explored
+            else:
+                levels.pop()
         return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, None, nodes)
 
     def _level(
@@ -299,13 +315,18 @@ class _PaletteSweep:
         """
         deg = self.deg
         base = 0
-        for v in _bits(prev):
+        while prev:
+            bit = prev & -prev
+            prev ^= bit
+            v = bit.bit_length() - 1
             if start[v] + deg[v] > c:
-                base |= 1 << v
+                base |= bit
         forced = self.by_degree.get(t - c + 1, 0) & left & ~frontier
-        for v in _bits(frontier):
-            if lim[v] == c:
-                forced |= 1 << v
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            if lim[bit.bit_length() - 1] == c:
+                forced |= bit
         base |= forced
         return base, self._start_sets(left & ~forced, left, base.bit_count() & 1)
 
@@ -439,10 +460,17 @@ class _PaletteSweep:
         Only S_c changed.  Edge vw may take colors
         [max(a_v, a_w, c + 1), min(e_v, e_w)].
         """
-        for v in _bits(s):
+        while s:
+            bit = s & -s
+            s ^= bit
+            v = bit.bit_length() - 1
             e = end[v]
             windows = []
-            for w in _bits(unused[v]):
+            m = unused[v]
+            while m:
+                low = m & -m
+                m ^= low
+                w = low.bit_length() - 1
                 r = start[w] if start[w] > c else c + 1
                 d = end[w]
                 if r > c + 1 or d < e:
