@@ -32,10 +32,11 @@ color.  Prunes:
   palettes can still end at t: a started v with a_v + deg(v) - 1 = t,
   or an unstarted w whose start deadline is still t - deg(w) + 1 (the
   deadlines only drop).  Phase A keeps that vertex set and the count of
-  edges inside it.  A start set's leavers come from bitmasks before
-  anything is written (a started neighbor's deadline is lowered below
-  t - deg(w) + 1 exactly when deg(w) <= t - e_v), so a node that leaves
-  no such edge is rejected with nothing to undo;
+  edges inside it.  The vertices a start set drops from it are found
+  from bitmasks before anything is written (a starter v lowers the
+  deadline t - deg(w) + 1 of an unstarted neighbor w exactly when
+  deg(w) <= t - e_v), so a node that leaves no such edge is rejected
+  with nothing to undo;
 * earliest deadline first -- edge vw takes a color in
   [max(a_v, a_w), min(e_v, e_w)], distinct at each vertex: checked in
   full for each vertex that starts and, in phase B, for each vertex of
@@ -228,9 +229,10 @@ class _PaletteSweep:
         # palette can still end at t, and inside counts the edges with
         # both ends in ends (the color-t prune).  An unstarted w in ends
         # has lim[w] = t - deg(w) + 1, so a starter v lowers it, and w
-        # leaves ends, exactly when deg(w) <= t - e_v; a palette from at
-        # most c to t is longer, so started vertices need no filter.  A
-        # start set's leavers are thus found from masks, and a set the
+        # leaves ends, exactly when deg(w) <= t - e_v.  A started vertex
+        # that stays in ends has a palette from at most c to t, so its
+        # degree is above t - e_v and the test needs no unstarted filter.
+        # A start set's leavers are thus found from masks, and a set the
         # prune rejects writes nothing.
         start = [0] * k
         lim = [t - d + 1 for d in deg]
@@ -243,7 +245,7 @@ class _PaletteSweep:
             c, left, frontier, ends, inside, base, choices, mark = levels[-1]
             room = t - c + 1  # t - e_v == room - deg(v) for a starter v
             for x in choices:
-                if len(trail) > mark:  # undo the previous choice
+                if len(trail) > mark:  # undo the previous choice and its subtree
                     for i in range(len(trail) - 2, mark - 1, -2):
                         lim[trail[i]] = trail[i + 1]
                     del trail[mark:]
