@@ -3,10 +3,9 @@
 A proper edge coloring with colors 1..t is *interval* when every color
 is used and the colors at each vertex form a consecutive block of
 exactly degree-many integers.  This package constructs such colorings
-for complete graphs K_2n (span 3n-2, and a round-robin baseline with
-span 2n-1), verifies colorings of arbitrary graphs, evaluates the known
-closed-form span bounds, and determines the exact maximum span of small
-graphs by exhaustive search.
+for complete graphs K_2n (span 3n-2), verifies colorings of arbitrary
+graphs, evaluates the known closed-form span bounds, and determines the
+exact maximum span of small graphs by exhaustive search.
 """
 
 from .bounds import (
@@ -14,31 +13,16 @@ from .bounds import (
     BoundsReport,
     bounds_for_graph,
     bounds_for_k2n,
-    construction_lower_bound,
-    general_upper_bound,
-    log_lower_bound,
-    refined_upper_bound,
     span_cap,
-    triangle_free_upper_bound,
 )
 from .coloring import (
     EdgeColoring,
     IntervalReport,
     Violation,
     ViolationKind,
-    reflect,
     verify_interval,
 )
-from .construction import (
-    CASE_COUNT,
-    CaseStats,
-    PartitionError,
-    case_color,
-    case_statistics,
-    classify_edge,
-    construct,
-    round_robin,
-)
+from .construction import CASE_COUNT, CaseStats, case_statistics, construct
 from .graph import Edge, Graph, complete_graph, graph_from_edges, is_triangle_free
 from .io import (
     FormatError,
@@ -73,7 +57,6 @@ __all__ = [
     "Graph",
     "IntervalReport",
     "MaxSpanResult",
-    "PartitionError",
     "ProbeRecord",
     "SearchConfig",
     "SearchOutcome",
@@ -82,28 +65,19 @@ __all__ = [
     "ViolationKind",
     "bounds_for_graph",
     "bounds_for_k2n",
-    "case_color",
     "case_statistics",
-    "classify_edge",
     "complete_graph",
     "compute_max_span",
     "construct",
-    "construction_lower_bound",
     "emit_coloring",
     "emit_graph",
     "find_interval_coloring",
-    "general_upper_bound",
     "graph_from_edges",
     "is_triangle_free",
-    "log_lower_bound",
     "parse_coloring",
     "parse_coloring_with_graph",
     "parse_graph",
-    "reflect",
-    "refined_upper_bound",
-    "round_robin",
     "span_cap",
-    "triangle_free_upper_bound",
     "verify_interval",
     "__version__",
 ]

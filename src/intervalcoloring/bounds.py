@@ -4,7 +4,9 @@ The *maximum span* of an interval-colorable graph is the largest t for
 which it has an interval coloring with colors 1..t.  Every value comes
 from three invariants, (|V|, |E|, triangle-free), so K_2n reports are
 O(1): no graph is built.  Each bound is one `_Bound` row; reports list
-every row with its applicability, so an aggregate view always renders.
+every row with its applicability, so an aggregate view always renders,
+and a single bound is read from its row of `bounds_for_k2n` or
+`bounds_for_graph` (`value` is None where the row does not apply).
 """
 
 from __future__ import annotations
@@ -76,12 +78,6 @@ class _Bound(NamedTuple):
             return BoundEntry(self.name, self.formula, self.value(inv), True)
         return BoundEntry(self.name, self.formula, None, False, self.reason)
 
-    def require(self, g: Graph, message: str) -> int:
-        inv = _graph_invariants(g)
-        if not self.applies(inv):
-            raise ValueError(message)
-        return self.value(inv)
-
 
 # The lower rows hold for K_2n only, where |V| = 2n.
 _EVEN_COMPLETE = "known lower bounds apply to complete graphs of even order"
@@ -96,31 +92,6 @@ _GENERAL = _Bound("general", "2|V|-3", lambda x: 2 * x.vertex_count - 3,
                   lambda x: x.edge_count > 0, "requires at least one edge")
 _TRIANGLE_FREE = _Bound("triangle-free", "|V|-1", lambda x: x.vertex_count - 1,
                         lambda x: x.triangle_free(), "graph contains a triangle")
-
-
-def construction_lower_bound(n: int) -> int:
-    """Lower bound 3n - 2 for K_2n, witnessed by `construction.construct`."""
-    return _CONSTRUCTION.value(_k2n(n))
-
-
-def log_lower_bound(n: int) -> int:
-    """Lower bound 2n - 1 + floor(log2(2n - 1)) for K_2n, exact via int.bit_length."""
-    return _LOG2.value(_k2n(n))
-
-
-def general_upper_bound(g: Graph) -> int:
-    """Upper bound 2|V| - 3 for any interval-colorable graph with an edge."""
-    return _GENERAL.require(g, "bound requires a graph with at least one edge")
-
-
-def refined_upper_bound(g: Graph) -> int:
-    """Upper bound 2|V| - 4 for any interval-colorable graph with |V| >= 3."""
-    return _REFINED.require(g, f"bound requires |V| >= 3, got {g.vertex_count}")
-
-
-def triangle_free_upper_bound(g: Graph) -> int | None:
-    """Upper bound |V| - 1 for triangle-free interval-colorable graphs, else None."""
-    return _TRIANGLE_FREE.entry(_graph_invariants(g)).value
 
 
 def span_cap(g: Graph, t_cap: int) -> int:

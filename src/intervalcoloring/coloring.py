@@ -102,18 +102,6 @@ def _canonical_coloring(assignment: dict[Edge, int], span_t: int) -> EdgeColorin
     return c
 
 
-def reflect(coloring: EdgeColoring) -> EdgeColoring:
-    """Map every color c to span_t + 1 - c.
-
-    Interval colorings are closed under this reflection: each vertex
-    palette [a, b] becomes [t+1-b, t+1-a].
-    """
-    t1 = coloring.span_t + 1
-    return EdgeColoring(
-        {e: t1 - c for e, c in coloring.assignment.items()}, coloring.span_t
-    )
-
-
 def _check_interval(
     g: Graph, coloring: EdgeColoring
 ) -> tuple[list[Violation], list[tuple[int, int]]]:

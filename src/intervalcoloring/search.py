@@ -21,8 +21,9 @@ started vertices and the twin classes its start set reaches, not by
 every vertex; entering phase B costs O(|E|) plus one matching check per
 color.  Prunes:
 
-* matching -- every S_c is non-empty and G[S_c] passes a necessary
-  check for a perfect matching (forced pairs, then even components:
+* matching -- every S_c is non-empty and even (tested before the node
+  is counted), and G[S_c] passes a necessary check for a perfect
+  matching (forced pairs, then even components:
   O(|S_c| + |E(G[S_c])|) bitmask steps, memoized by vertex set for the
   sweep);
 * start deadlines -- an unstarted vertex must start by t - deg + 1 and
@@ -44,12 +45,12 @@ color.  Prunes:
 * twins -- the twin classes partition the vertices and are computed
   once per sweep; in phase A a class's lower-numbered vertices start first.
   A level's start sets are a lazy recursive product over the classes; a
-  class is found only when a carry first reaches it (_start_sets).
+  class is found only when a carry first reaches it (_product).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cache, partial
 
@@ -91,10 +92,6 @@ class SearchOutcome:
     status: SearchStatus
     coloring: EdgeColoring | None
     nodes_explored: int
-
-    @property
-    def found(self) -> bool:
-        return self.status is SearchStatus.FOUND
 
 
 def find_interval_coloring(g: Graph, cfg: SearchConfig) -> SearchOutcome:
@@ -250,7 +247,7 @@ class _PaletteSweep:
                         lim[trail[i]] = trail[i + 1]
                     del trail[mark:]
                 s = base | x
-                if not s:
+                if not s or s.bit_count() & 1:  # S_c must be non-empty and even
                     continue
                 if budget and nodes == budget:
                     return SearchOutcome(SearchStatus.BUDGET_EXCEEDED, None, nodes)
@@ -312,7 +309,7 @@ class _PaletteSweep:
 
         Every vertex of S_{c-1} (prev) whose palette goes on stays, and
         an unstarted w with lim[w] == c must start.  Each other unstarted
-        vertex may start (see _start_sets).  The work is bounded by prev
+        vertex may start (see _product).  The work is bounded by prev
         and the frontier, not by every unstarted vertex.
         """
         deg = self.deg
@@ -330,32 +327,25 @@ class _PaletteSweep:
             if lim[bit.bit_length() - 1] == c:
                 forced |= bit
         base |= forced
-        return base, self._start_sets(left & ~forced, left, base.bit_count() & 1)
+        return base, self._product(left & ~forced, left)
 
-    def _start_sets(self, optional: int, left: int, parity: int):
-        """The sets of optional starters to try, in order.
+    def _product(self, rest: int, left: int):
+        """The sets of optional starters (rest) to try, in order.
 
         The twin classes (self.twins) partition the vertices for the whole
         sweep, and unstarted twins have the same lim, so each class lies
-        wholly inside or outside optional.  Starters form a prefix of each
-        class (lower-numbered vertices start first), and a set is kept
-        when its size has the given parity, so that |S_c| is even.  Sets
-        come in itertools.product order over the classes, by lowest
-        vertex, last class fastest, from the recursive _product(rest):
-        it yields the empty set, then finds the top class of rest,
-        scanning down to its lowest unstarted member; for each set low
-        that _product yields over the classes below, it yields low and
-        then low plus each non-empty prefix of the class.  A class is
-        thus found only when a carry first reaches it, so a node that
-        succeeds early costs no full scan.  Nesting depth d takes at
-        least 2^(d-1) sets: about 24 levels at the default node budget.
+        wholly inside or outside rest.  Starters form a prefix of each
+        class (lower-numbered vertices start first).  Sets come in
+        itertools.product order over the classes, by lowest vertex, last
+        class fastest: this yields the empty set, then finds the top class
+        of rest, scanning down to its lowest unstarted member; for each
+        set low that _product yields over the classes below, it yields
+        low and then low plus each non-empty prefix of the class.  A class
+        is thus found only when a carry first reaches it, so a node that
+        succeeds early costs no full scan.  Nesting depth d takes at least
+        2^(d-1) sets: about 24 levels at the default node budget.  The
+        probe skips the sets that would leave |S_c| odd.
         """
-        for x in self._product(optional, left):
-            if x.bit_count() & 1 == parity:
-                yield x
-
-    def _product(self, rest: int, left: int):
-        """Prefix sets over the twin classes in rest (see _start_sets)."""
         yield 0
         twins = self.twins
         members = 0
@@ -502,7 +492,7 @@ class MaxSpanResult:
     max_span: int
     complete: bool
     witness: EdgeColoring | None
-    probes: tuple[ProbeRecord, ...] = field(default=())
+    probes: tuple[ProbeRecord, ...]
 
 
 def compute_max_span(

@@ -1,4 +1,5 @@
-"""Shared test helpers: reference oracles and hypothesis strategies."""
+"""Shared test helpers: reference oracles, the per-edge clause
+specification of `construct`, and hypothesis strategies."""
 
 from __future__ import annotations
 
@@ -9,14 +10,127 @@ from typing import Iterator
 from hypothesis import strategies as st
 
 from intervalcoloring import (
+    CASE_COUNT,
+    BoundsReport,
     EdgeColoring,
     FormatError,
     Graph,
     SearchOutcome,
     SearchStatus,
-    case_color,
-    classify_edge,
 )
+from intervalcoloring.construction import CaseId
+
+
+def bound(report: BoundsReport, name: str) -> int | None:
+    """The value of the named row of a bounds report, None where it does not apply."""
+    (value,) = [e.value for e in report.lower + report.upper if e.name == name]
+    return value
+
+
+class PartitionError(RuntimeError):
+    """Raised when an edge matches zero or several clauses (unreachable)."""
+
+
+def _check_pair(n: int, i: int, j: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not 1 <= i < j <= 2 * n:
+        raise ValueError(f"need 1 <= i < j <= 2n = {2 * n}, got ({i}, {j})")
+
+
+def classify_edge(n: int, i: int, j: int) -> CaseId:
+    """Return the unique clause (1..8) that edge (i, j) of K_2n satisfies.
+
+    Clause conditions, for 1 <= i < j <= 2n (empty ranges match nothing):
+
+    1. i in [1, n//2],            j in [2, n],                  i+j <= n+1
+    2. i in [2, n-1],             j in [n//2 + 2, n],           i+j >= n+2
+    3. i in [3, n],               j in [n+1, 2n-2],             j-i <= n-2
+    4. i in [1, n],               j in [n+1, 2n],               j-i >= n
+    5. i in [2, 1 + (n-1)//2],    j in [n+1, n + (n-1)//2],     j-i == n-1
+    6. i in [(n-1)//2 + 2, n],    j in [n+1 + (n-1)//2, 2n-1],  j-i == n-1
+    7. i in [n+1, n + n//2 - 1],  j in [n+2, 2n-2],             i+j <= 3n-1
+    8. i in [n+1, 2n-1],          j in [n + n//2 + 1, 2n],      i+j >= 3n
+
+    Clauses 1-2 require j <= n, 3-6 require j >= n+1 with i <= n, and
+    7-8 require i >= n+1, so only the clauses of the pair's region need
+    evaluating; within a region every clause is checked in full.
+
+    Raises PartitionError if zero or several clauses match.
+    """
+    _check_pair(n, i, j)
+    s = i + j
+    d = j - i
+    hn = n // 2
+    hm = (n - 1) // 2
+
+    if j <= n:
+        c1 = i <= hn and 2 <= j and s <= n + 1
+        c2 = 2 <= i <= n - 1 and hn + 2 <= j and s >= n + 2
+        matched = [case for case, hit in ((1, c1), (2, c2)) if hit]
+    elif i <= n:
+        c3 = 3 <= i and j <= 2 * n - 2 and d <= n - 2
+        c4 = d >= n
+        c5 = 2 <= i <= 1 + hm and j <= n + hm and d == n - 1
+        c6 = hm + 2 <= i and n + 1 + hm <= j <= 2 * n - 1 and d == n - 1
+        matched = [case for case, hit in ((3, c3), (4, c4), (5, c5), (6, c6)) if hit]
+    else:
+        c7 = i <= n + hn - 1 and n + 2 <= j <= 2 * n - 2 and s <= 3 * n - 1
+        c8 = n + hn + 1 <= j and s >= 3 * n
+        matched = [case for case, hit in ((7, c7), (8, c8)) if hit]
+
+    if len(matched) != 1:
+        raise PartitionError(
+            f"edge ({i}, {j}) of K_{2 * n} matches clauses {matched or 'none'}"
+        )
+    return matched[0]
+
+
+def case_color(n: int, i: int, j: int, case: CaseId) -> int:
+    """Evaluate the color formula of the given clause at edge (i, j)."""
+    if case in (1, 6):
+        return i + j - 2
+    if case == 2:
+        return i + j + n - 3
+    if case == 3:
+        return n + j - i
+    if case == 4:
+        return j - i
+    if case == 5:
+        return 2 * (i - 1)
+    if case == 7:
+        return i + j - 2 * n
+    if case == 8:
+        return i + j - n - 1
+    raise ValueError(f"case must be 1..{CASE_COUNT}, got {case}")
+
+
+def round_robin(n: int) -> EdgeColoring:
+    """Proper coloring of K_2n with span 2n-1; every color class is a
+    perfect matching and every vertex palette is exactly {1, .., 2n-1}."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    m1 = 2 * n - 1
+    assignment: dict[tuple[int, int], int] = {}
+    for r in range(m1):
+        assignment[(r % m1 + 1, 2 * n)] = r + 1
+        for k in range(1, n):
+            a = (r + k) % m1 + 1
+            b = (r - k) % m1 + 1
+            assignment[(a, b) if a < b else (b, a)] = r + 1
+    return EdgeColoring(assignment, span_t=m1)
+
+
+def reflect(coloring: EdgeColoring) -> EdgeColoring:
+    """Map every color c to span_t + 1 - c.
+
+    Interval colorings are closed under this reflection: each vertex
+    palette [a, b] becomes [t+1-b, t+1-a].
+    """
+    t1 = coloring.span_t + 1
+    return EdgeColoring(
+        {e: t1 - c for e, c in coloring.assignment.items()}, coloring.span_t
+    )
 
 
 def brute_force_exists(g: Graph, t: int) -> bool:
@@ -75,7 +189,7 @@ def palettes(coloring: EdgeColoring) -> dict[int, tuple[int, ...]]:
 
 def classifier_twin(n: int) -> EdgeColoring:
     """The span-(3n-2) coloring of K_2n, each edge colored through the
-    public clause classifier and built by the checking constructor."""
+    clause classifier above and built by the checking constructor."""
     return EdgeColoring(
         {
             (i, j): case_color(n, i, j, classify_edge(n, i, j))

@@ -16,23 +16,19 @@ from intervalcoloring import (
     SearchConfig,
     SearchStatus,
     ViolationKind,
-    classify_edge,
+    bounds_for_graph,
+    bounds_for_k2n,
     complete_graph,
     compute_max_span,
     construct,
-    construction_lower_bound,
     emit_coloring,
     find_interval_coloring,
-    log_lower_bound,
     parse_coloring,
-    refined_upper_bound,
-    reflect,
-    round_robin,
     verify_interval,
 )
 from intervalcoloring import search
 
-from conftest import edge_search
+from conftest import bound, classify_edge, edge_search, reflect, round_robin
 
 
 def _report(name: str) -> None:
@@ -59,9 +55,11 @@ def test_criterion_2_case_partition_for_all_n_up_to_200():
 
 def test_criterion_3_lower_bounds_coincide_exactly_up_to_n3():
     for n in (1, 2, 3):
-        assert construction_lower_bound(n) == log_lower_bound(n), n
+        report = bounds_for_k2n(n)
+        assert bound(report, "construction") == bound(report, "log2"), n
     for n in range(4, 257):
-        assert construction_lower_bound(n) > log_lower_bound(n), n
+        report = bounds_for_k2n(n)
+        assert bound(report, "construction") > bound(report, "log2"), n
     _report("bounds: 3n-2 equals the log bound for n<=3, exceeds it for 4<=n<=256")
 
 
@@ -72,16 +70,16 @@ def test_criterion_4_exact_max_span_of_tiny_graphs():
     k4_graph = complete_graph(4)
     k4 = compute_max_span(k4_graph, 10)
     assert k4.max_span == 4 and k4.complete
-    assert k4.max_span == construction_lower_bound(2)
-    assert k4.max_span == refined_upper_bound(k4_graph)
+    assert k4.max_span == bound(bounds_for_k2n(2), "construction")
+    assert k4.max_span == bound(bounds_for_graph(k4_graph), "refined")
     assert verify_interval(k4_graph, k4.witness).verdict
     _report("search oracle: max span K_2 = 1 and K_4 = 4, both complete")
 
 
 def test_criterion_5_k6_bracket_resolved_honestly():
     g = complete_graph(6)
-    lower = construction_lower_bound(3)
-    upper = refined_upper_bound(g)
+    lower = bound(bounds_for_k2n(3), "construction")
+    upper = bound(bounds_for_graph(g), "refined")
     assert (lower, upper) == (7, 8)
 
     probe7 = find_interval_coloring(g, SearchConfig(t=7))
@@ -171,7 +169,7 @@ def test_criterion_9_max_span_of_k6_and_k8_settled(monkeypatch):
     # 4n-2-p-q (n = p * 2^q, p odd) brackets W(K_8) in [11, 12].
     for m, span in ((6, 7), (8, 11)):
         g = complete_graph(m)
-        result = compute_max_span(g, refined_upper_bound(g))
+        result = compute_max_span(g, bound(bounds_for_graph(g), "refined"))
         assert (result.max_span, result.complete) == (span, True), m
         assert [(p.t, p.status) for p in result.probes] == [
             (span + 1, SearchStatus.EXHAUSTED_NO_SOLUTION),

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from conftest import bound
 from intervalcoloring import graph as graph_module
 from intervalcoloring import (
     Graph,
@@ -9,24 +10,19 @@ from intervalcoloring import (
     bounds_for_k2n,
     complete_graph,
     construct,
-    construction_lower_bound,
-    general_upper_bound,
     graph_from_edges,
-    log_lower_bound,
     parse_graph,
-    refined_upper_bound,
-    triangle_free_upper_bound,
 )
 
 
 @pytest.mark.parametrize("n,value", [(1, 1), (4, 10), (10, 28)])
 def test_construction_lower_bound(n, value):
-    assert construction_lower_bound(n) == value
+    assert bound(bounds_for_k2n(n), "construction") == value
 
 
 @pytest.mark.parametrize("n,value", [(1, 1), (3, 7), (4, 9)])
 def test_log_lower_bound(n, value):
-    assert log_lower_bound(n) == value
+    assert bound(bounds_for_k2n(n), "log2") == value
 
 
 def test_log_lower_bound_exact_near_powers_of_two():
@@ -34,64 +30,64 @@ def test_log_lower_bound_exact_near_powers_of_two():
     # neighbors of 2**exp, where float log2 would be least trustworthy
     for exp in range(2, 60):
         n = 2 ** (exp - 1) + 1  # 2n-1 == 2**exp + 1
-        assert log_lower_bound(n) == 2 * n - 1 + exp
+        assert bound(bounds_for_k2n(n), "log2") == 2 * n - 1 + exp
         n = 2 ** (exp - 1)  # 2n-1 == 2**exp - 1
-        assert log_lower_bound(n) == 2 * n - 1 + exp - 1
+        assert bound(bounds_for_k2n(n), "log2") == 2 * n - 1 + exp - 1
 
 
 def test_lower_bounds_reject_zero():
-    with pytest.raises(ValueError):
-        construction_lower_bound(0)
-    with pytest.raises(ValueError):
-        log_lower_bound(0)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        bounds_for_k2n(0)
 
 
 @pytest.mark.parametrize("m,value", [(4, 5), (2, 1), (6, 9)])
 def test_general_upper_bound(m, value):
-    assert general_upper_bound(complete_graph(m)) == value
+    assert bound(bounds_for_graph(complete_graph(m)), "general") == value
 
 
 def test_general_upper_bound_needs_an_edge():
-    with pytest.raises(ValueError):
-        general_upper_bound(complete_graph(1))
-    with pytest.raises(ValueError):
-        general_upper_bound(graph_from_edges(3, []))
+    for g in (complete_graph(1), graph_from_edges(3, [])):
+        general = next(e for e in bounds_for_graph(g).upper if e.name == "general")
+        assert (general.applicable, general.value) == (False, None)
+        assert general.reason == "requires at least one edge"
 
 
 @pytest.mark.parametrize("m,value", [(4, 4), (6, 8), (8, 12)])
 def test_refined_upper_bound(m, value):
-    assert refined_upper_bound(complete_graph(m)) == value
+    assert bound(bounds_for_graph(complete_graph(m)), "refined") == value
 
 
 def test_refined_upper_bound_needs_three_vertices():
-    with pytest.raises(ValueError):
-        refined_upper_bound(complete_graph(2))
+    report = bounds_for_graph(complete_graph(2))
+    refined = next(e for e in report.upper if e.name == "refined")
+    assert (refined.applicable, refined.value) == (False, None)
+    assert refined.reason == "requires |V| >= 3"
 
 
 def test_triangle_free_upper_bound():
     four_cycle = graph_from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-    assert triangle_free_upper_bound(four_cycle) == 3
-    assert triangle_free_upper_bound(complete_graph(4)) is None
-    assert triangle_free_upper_bound(complete_graph(2)) == 1
+    assert bound(bounds_for_graph(four_cycle), "triangle-free") == 3
+    assert bound(bounds_for_graph(complete_graph(4)), "triangle-free") is None
+    assert bound(bounds_for_graph(complete_graph(2)), "triangle-free") == 1
 
 
 def test_lower_bounds_coincide_only_up_to_n3():
     for n in (1, 2, 3):
-        assert construction_lower_bound(n) == log_lower_bound(n)
+        assert bound(bounds_for_k2n(n), "construction") == bound(bounds_for_k2n(n), "log2")
     for n in range(4, 257):
-        assert construction_lower_bound(n) > log_lower_bound(n)
+        assert bound(bounds_for_k2n(n), "construction") > bound(bounds_for_k2n(n), "log2")
 
 
 def test_lower_bound_below_upper_bounds():
-    assert construction_lower_bound(1) <= general_upper_bound(complete_graph(2))
+    assert bound(bounds_for_k2n(1), "construction") <= bound(bounds_for_k2n(1), "general")
     for n in range(2, 257):
-        (refined,) = [e.value for e in bounds_for_k2n(n).upper if e.name == "refined"]
-        assert construction_lower_bound(n) <= refined
+        report = bounds_for_k2n(n)
+        assert bound(report, "construction") <= bound(report, "refined")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 21])
 def test_construct_span_matches_lower_bound(n):
-    assert construct(n).span_t == construction_lower_bound(n)
+    assert construct(n).span_t == bound(bounds_for_k2n(n), "construction")
 
 
 def test_bounds_report_k4():

@@ -3,7 +3,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 
-from conftest import colored_graphs, palettes
+from conftest import colored_graphs, palettes, reflect, round_robin
 from intervalcoloring import (
     EdgeColoring,
     Graph,
@@ -12,8 +12,6 @@ from intervalcoloring import (
     complete_graph,
     construct,
     graph_from_edges,
-    reflect,
-    round_robin,
     verify_interval,
 )
 from intervalcoloring.coloring import _check_interval

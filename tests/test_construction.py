@@ -2,16 +2,20 @@ from itertools import combinations
 
 import pytest
 
-from conftest import classifier_twin, palettes
+from conftest import (
+    bound,
+    case_color,
+    classifier_twin,
+    classify_edge,
+    palettes,
+    round_robin,
+)
 from intervalcoloring import (
     CASE_COUNT,
-    case_color,
+    bounds_for_k2n,
     case_statistics,
-    classify_edge,
     complete_graph,
     construct,
-    construction_lower_bound,
-    round_robin,
     verify_interval,
 )
 from intervalcoloring.construction import _runs
@@ -136,7 +140,7 @@ def test_runs_tile_every_row():
 def test_construct_verifies_with_exact_span(n):
     g = complete_graph(2 * n)
     c = construct(n)
-    assert c.span_t == 3 * n - 2 == construction_lower_bound(n)
+    assert c.span_t == 3 * n - 2 == bound(bounds_for_k2n(n), "construction")
     assert verify_interval(g, c).verdict
     assert set(c.assignment.values()) == set(range(1, 3 * n - 1))
 

@@ -13,6 +13,7 @@ from conftest import (
     graphs,
     reference_parse_coloring_with_graph,
     reference_parse_graph,
+    round_robin,
 )
 from intervalcoloring import (
     EdgeColoring,
@@ -26,7 +27,6 @@ from intervalcoloring import (
     parse_coloring,
     parse_coloring_with_graph,
     parse_graph,
-    round_robin,
 )
 from intervalcoloring import cli
 from intervalcoloring import io as formats

@@ -10,22 +10,23 @@ from hypothesis import strategies as st
 
 from conftest import (
     all_labeled_graphs,
+    bound,
     brute_force_exists,
     canonical_graphs_upto,
     edge_search,
+    reflect,
     tree_max_span,
 )
 from intervalcoloring import (
     Graph,
     SearchConfig,
     SearchStatus,
+    bounds_for_graph,
+    bounds_for_k2n,
     complete_graph,
     compute_max_span,
-    construction_lower_bound,
     find_interval_coloring,
     graph_from_edges,
-    refined_upper_bound,
-    reflect,
     span_cap,
     verify_interval,
 )
@@ -57,7 +58,7 @@ def test_k2_t1_found():
 def test_k4_t4_found_and_verifies():
     g = complete_graph(4)
     out = decide(g, 4)
-    assert out.found
+    assert out.status is SearchStatus.FOUND
     assert out.coloring.span_t == 4
     assert verify_interval(g, out.coloring).verdict
 
@@ -99,7 +100,7 @@ def test_search_is_deterministic():
 def test_found_at_budget_boundary_still_found():
     g = complete_graph(2)
     out = edge_search(g, 1, 1)
-    assert out.found
+    assert out.status is SearchStatus.FOUND
     assert out.nodes_explored == 1
 
 
@@ -135,7 +136,7 @@ def test_decisions_agree_across_edge_orders():
         for t in range(1, 6):
             out = decide(g, t)
             assert (out.status is SearchStatus.FOUND) == brute_force_exists(g, t)
-            if out.found:
+            if out.status is SearchStatus.FOUND:
                 assert list(out.coloring.assignment) == sorted(g.edges), g
 
 
@@ -176,7 +177,7 @@ def test_find_node_counts_are_pinned(m, t, budget, status, nodes):
     g = complete_graph(m)
     out = find_interval_coloring(g, SearchConfig(t, budget))
     assert (out.status, out.nodes_explored) == (status, nodes)
-    if out.found:
+    if out.status is SearchStatus.FOUND:
         assert verify_interval(g, out.coloring).verdict
 
 
@@ -206,7 +207,7 @@ def test_pruning_sound_on_all_small_graphs():
         for t in range(1, 7):
             out = decide(g, t)
             assert (out.status is SearchStatus.FOUND) == brute_force_exists(g, t), (g, t)
-            if out.found:
+            if out.status is SearchStatus.FOUND:
                 assert out.coloring.span_t == t
                 assert verify_interval(g, out.coloring).verdict, (g, t)
 
@@ -236,7 +237,7 @@ def test_pruning_sound_on_random_labeled_5_vertex_graphs(bits, t):
 def test_found_witness_reflects_to_a_witness():
     g = complete_graph(6)
     out = decide(g, 7)
-    assert out.found
+    assert out.status is SearchStatus.FOUND
     assert verify_interval(g, reflect(out.coloring)).verdict
 
 
@@ -244,7 +245,7 @@ def test_k8_admits_span_beyond_the_built_construction():
     # the explicit construction gives span 10 on K_8; search finds 11
     g = complete_graph(8)
     out = decide(g, 11)
-    assert out.found
+    assert out.status is SearchStatus.FOUND
     assert verify_interval(g, out.coloring).verdict
 
 
@@ -270,9 +271,9 @@ def test_compute_max_span_agrees_with_bounds():
         g = complete_graph(2 * n)
         result = compute_max_span(g, 2 * g.vertex_count)
         assert result.complete
-        assert result.max_span >= construction_lower_bound(n)
+        assert result.max_span >= bound(bounds_for_k2n(n), "construction")
         if n >= 2:
-            assert result.max_span <= refined_upper_bound(g)
+            assert result.max_span <= bound(bounds_for_graph(g), "refined")
 
 
 def test_compute_max_span_edgeless():
@@ -329,7 +330,7 @@ def test_sweep_engine_agrees_with_brute_force():
         for t in range(1, 7):
             out = sweep.probe(t, 0)
             assert (out.status is SearchStatus.FOUND) == brute_force_exists(g, t), (g, t)
-            if out.found:
+            if out.status is SearchStatus.FOUND:
                 assert out.coloring.span_t == t
                 assert verify_interval(g, out.coloring).verdict, (g, t)
 
@@ -343,7 +344,7 @@ def _assert_engines_agree(g, ts, budget):
         for out in (find_interval_coloring(g, SearchConfig(t, budget)), sweep.probe(t, budget)):
             if SearchStatus.BUDGET_EXCEEDED not in (out.status, edge.status):
                 assert out.status is edge.status, (g, t)
-            if out.found:
+            if out.status is SearchStatus.FOUND:
                 assert verify_interval(g, out.coloring).verdict, (g, t)
             if out.status is SearchStatus.BUDGET_EXCEEDED:
                 assert (out.nodes_explored, out.coloring) == (budget, None)
@@ -379,7 +380,7 @@ def test_sweep_decides_every_span_of_random_graphs():
         for t in range(g.max_degree, 2 * v - 2):
             out = sweep.probe(t, 100_000)
             assert out.status is not SearchStatus.BUDGET_EXCEEDED, (g, t)
-            if out.found:
+            if out.status is SearchStatus.FOUND:
                 assert verify_interval(g, out.coloring).verdict, (g, t)
             probes += 1
             nodes += out.nodes_explored
@@ -427,7 +428,7 @@ def test_deep_sweep_node_counts_are_pinned(m, t, status, nodes):
     g = complete_graph(m)
     out = _PaletteSweep(g).probe(t, 0)
     assert (out.status, out.nodes_explored) == (status, nodes)
-    if out.found:
+    if out.status is SearchStatus.FOUND:
         assert out.coloring.span_t == t
         assert verify_interval(g, out.coloring).verdict
 
@@ -557,9 +558,10 @@ def test_twin_classes_match_the_definition_and_partition():
                 assert all(twins[w] == expected for w in range(n) if expected >> w & 1)
 
 
-def _reference_start_sets(twins, optional, left, parity):
+def _reference_start_sets(twins, optional, left):
     # itertools.product over the classes of optional, by lowest vertex,
-    # each class's prefixes ascending, then the parity filter.
+    # each class's prefixes ascending.  The probe skips the sets that
+    # leave |S_c| odd; the pinned node counts cover that filter.
     classes, seen = [], 0
     for v in range(len(twins)):
         if optional >> v & 1 and not seen >> v & 1:
@@ -570,8 +572,7 @@ def _reference_start_sets(twins, optional, left, parity):
                 if members >> w & 1:
                     prefixes.append(prefixes[-1] | 1 << w)
             classes.append(prefixes)
-    sets = (sum(combo) for combo in product(*classes))
-    return [x for x in sets if (bin(x).count("1") ^ parity) & 1 == 0]
+    return [sum(combo) for combo in product(*classes)]
 
 
 def test_start_sets_are_the_product_of_class_prefixes():
@@ -589,21 +590,16 @@ def test_start_sets_are_the_product_of_class_prefixes():
             left |= kept
             if rng.random() < 0.7:
                 optional |= kept
-        for parity in (0, 1):
-            expected = _reference_start_sets(sweep.twins, optional, left, parity)
-            assert list(sweep._start_sets(optional, left, parity)) == expected
+        expected = _reference_start_sets(sweep.twins, optional, left)
+        assert list(sweep._product(optional, left)) == expected
     # Deep: on a long path every class is one vertex, so the sets count in
-    # binary with the highest vertex as the fastest digit.  The first 4,096
-    # even sets reach 13 classes, at the default recursion limit.
+    # binary with the highest vertex as the fastest digit.  The first 8,192
+    # sets reach 13 classes, at the default recursion limit.
     n = 1101
     sweep = _PaletteSweep(graph_from_edges(n, [(i, i + 1) for i in range(1, n)]))
     everyone = (1 << n) - 1
-    counting = (
-        sum(1 << n - 1 - b for b in range(13) if i >> b & 1)
-        for i in range(1 << 13)
-        if bin(i).count("1") % 2 == 0
-    )
-    assert list(islice(sweep._start_sets(everyone, everyone, 0), 4096)) == list(counting)
+    counting = (sum(1 << n - 1 - b for b in range(13) if i >> b & 1) for i in range(1 << 13))
+    assert list(islice(sweep._product(everyone, everyone), 8192)) == list(counting)
 
 
 def test_sweep_matching_test_is_polynomial():
