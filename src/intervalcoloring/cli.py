@@ -7,6 +7,11 @@ usage or input errors, 141 (the shell's SIGPIPE status) when stdout is
 closed early, with no traceback.  ``verify`` checks canonical text
 from its number columns, with no graph or coloring object, and other
 text as the line loop parses it; both report as ``verify_interval``.
+
+Each subcommand is declared once, in ``_COMMANDS``.  Canonical argv is
+read from that table directly; argparse, built from it for other argv
+only, prints help and names every usage error, so abbreviations and
+``--opt=value`` still work.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import select
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
-from typing import TextIO
+from typing import Callable, NamedTuple, TextIO
 
 from . import bounds as bounds_mod
 from . import io as formats
@@ -198,7 +203,43 @@ def _cmd_cases(args: argparse.Namespace, stdout: TextIO, stdin: TextIO) -> int:
     return 0
 
 
-@cache  # built once per process; nothing changes it afterwards
+class _Option(NamedTuple):
+    string: str  # exact option string; its dest is the string without "--"
+    type: Callable[[str], object]  # _positive, int, str, or bool for a flag
+    help: str | None = None
+    group: str | None = None  # _REQUIRED, or _ONE_OF: exactly one per command
+    default: object = None
+
+
+_REQUIRED, _ONE_OF = "required", "one-of"
+# Each subcommand once: handler, positional (dest, help) or None, options, help.
+_COMMANDS = {
+    "construct": (_cmd_construct, None, (
+        _Option("--n", _positive, "half the vertex count", _REQUIRED),
+        _Option("--out", str, "output path (default: stdout)"),
+    ), "emit the span-(3n-2) coloring of K_2n as a coloring file"),
+    "verify": (_cmd_verify, ("coloring", "coloring file path or '-'"), (
+        _Option("--graph", str, "graph file the coloring must match"),
+    ), "verify a coloring file ('-' reads stdin)"),
+    "bounds": (_cmd_bounds, None, (
+        _Option("--n", _positive, "evaluate for K_2n", _ONE_OF),
+        _Option("--graph", str, "graph file path or '-'", _ONE_OF),
+    ), "evaluate span bounds for K_2n or a graph file"),
+    "search": (_cmd_search, ("graph", "graph file path or '-'"), (
+        _Option("--t", _positive, "span to decide", _ONE_OF),
+        _Option("--max", bool, "compute the largest feasible span", _ONE_OF, False),
+        _Option("--budget", int, "node budget per probe, 0 = unlimited "
+                f"(default {DEFAULT_NODE_BUDGET})", default=DEFAULT_NODE_BUDGET),
+        _Option("--cap", _positive, "with --max: do not probe spans above this"),
+        _Option("--out", str, "write the witness coloring here"),
+    ), "backtracking search for an interval t-coloring"),
+    "cases": (_cmd_cases, None, (
+        _Option("--n", _positive, group=_REQUIRED),
+    ), "per-clause edge counts and color ranges for K_2n"),
+}
+
+
+@cache  # built only for argv that is not canonical; nothing changes it afterwards
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="intervalcoloring",
@@ -213,53 +254,52 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "construct", help="emit the span-(3n-2) coloring of K_2n as a coloring file"
-    )
-    p.add_argument("--n", type=_positive, required=True, help="half the vertex count")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=_cmd_construct)
-
-    p = sub.add_parser("verify", help="verify a coloring file ('-' reads stdin)")
-    p.add_argument("coloring", help="coloring file path or '-'")
-    p.add_argument("--graph", help="graph file the coloring must match")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("bounds", help="evaluate span bounds for K_2n or a graph file")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=_positive, help="evaluate for K_2n")
-    group.add_argument("--graph", help="graph file path or '-'")
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser(
-        "search", help="backtracking search for an interval t-coloring"
-    )
-    p.add_argument("graph", help="graph file path or '-'")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--t", type=_positive, help="span to decide")
-    group.add_argument(
-        "--max", action="store_true", help="compute the largest feasible span"
-    )
-    p.add_argument(
-        "--budget",
-        type=int,
-        default=DEFAULT_NODE_BUDGET,
-        help=f"node budget per probe, 0 = unlimited (default {DEFAULT_NODE_BUDGET})",
-    )
-    p.add_argument(
-        "--cap", type=_positive, help="with --max: do not probe spans above this"
-    )
-    p.add_argument("--out", help="write the witness coloring here")
-    p.set_defaults(func=_cmd_search)
-
-    p = sub.add_parser(
-        "cases", help="per-clause edge counts and color ranges for K_2n"
-    )
-    p.add_argument("--n", type=_positive, required=True)
-    p.set_defaults(func=_cmd_cases)
-
+    for name, (func, positional, options, help_) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        if positional:
+            p.add_argument(positional[0], help=positional[1])
+        if any(o.group == _ONE_OF for o in options):
+            one_of = p.add_mutually_exclusive_group(required=True)
+        for o in options:
+            kind = {"action": "store_true"} if o.type is bool else {
+                "type": o.type, "default": o.default, "required": o.group == _REQUIRED}
+            (one_of if o.group == _ONE_OF else p).add_argument(o.string, help=o.help, **kind)
+        p.set_defaults(func=func)
     return parser
+
+
+def _canonical_args(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace argparse would return for canonical argv, else None."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, positional, options, _ = _COMMANDS[argv[0]]
+    left = {o.string: o for o in options}  # popped when given, so given once
+    values = {o.string[2:]: o.default for o in options}
+    dest = positional[0] if positional else None
+    tokens = iter(argv[1:])
+    for token in tokens:
+        option = left.pop(token, None)
+        if option is None:  # the positional, unless it looks like an option
+            if dest is None or dest in values or (token.startswith("-") and token != "-"):
+                return None
+            values[dest] = token
+        elif option.type is bool:
+            values[token[2:]] = True
+        else:
+            value = next(tokens, "--")  # "--": no value follows
+            if value.startswith("-") and value != "-":  # argparse may read an option
+                return None
+            try:
+                values[token[2:]] = option.type(value)
+            except (ValueError, argparse.ArgumentTypeError):
+                return None
+    unset = [o.group for o in left.values()]
+    one_of = [o.group for o in options].count(_ONE_OF)
+    if (dest and dest not in values) or _REQUIRED in unset:
+        return None
+    if one_of and unset.count(_ONE_OF) != one_of - 1:
+        return None
+    return argparse.Namespace(command=argv[0], **values, func=func)
 
 
 def run(
@@ -273,14 +313,16 @@ def run(
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
-    try:
-        # argparse prints usage errors and --help to sys.stderr / sys.stdout,
-        # looked up when it prints, so the shared parser writes to these.
-        with redirect_stdout(stdout), redirect_stderr(stderr):
-            args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else _USAGE_ERROR
+    argv = sys.argv[1:] if argv is None else argv
+    args = _canonical_args(argv)
+    if args is None:
+        try:
+            # argparse prints usage errors and --help to sys.stderr / sys.stdout,
+            # looked up when it prints, so the shared parser writes to these.
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else _USAGE_ERROR
     try:
         return args.func(args, stdout, stdin)
     except ValueError as exc:  # input or file problems, FormatError included

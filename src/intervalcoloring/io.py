@@ -43,8 +43,8 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import islice, repeat
-from operator import add, lt
+from itertools import chain, islice, repeat
+from operator import lt
 from typing import Iterable, Iterator
 
 from .coloring import EdgeColoring, _canonical_coloring
@@ -356,14 +356,14 @@ def _write_runs(
 
     Each run colors the edges (i, j), lo <= j < hi, with j + shift; the
     runs must come in canonical edge order, cover the graph's edges once
-    and keep every color in 1..span_t.  Lines are joined from tables of
-    the number strings, so no formatting is done per edge.
+    and keep every color in 1..span_t.  Lines are joined once from tables
+    of the number strings, so no string is built per edge.
     """
     num = list(map(str, range(vertex_count + 1)))
     tail = [f" {c}\n" for c in range(span_t + 1)]
     parts = [f"c {vertex_count} {span_t}\n"]
     for _, i, lo, hi, shift in runs:
-        parts.extend(
-            map(add, map(add, repeat(f"e {i} "), num[lo:hi]), tail[lo + shift : hi + shift])
+        parts += chain.from_iterable(
+            zip(repeat(f"e {i} "), num[lo:hi], tail[lo + shift : hi + shift])
         )
     return "".join(parts)

@@ -5,9 +5,12 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import classifier_twin
 from intervalcoloring import (
@@ -556,6 +559,108 @@ def test_help_exits_zero():
     assert (code, err) == (0, "")
     assert out.startswith("usage: intervalcoloring")
     assert "exit codes:" in out
+
+
+# Every command name and option string, values that do and do not
+# convert, and tokens only argparse reads (help, an abbreviation,
+# --opt=value, the end-of-options marker).
+_OPTIONS_OF = {
+    "construct": ("--n", "--out"),
+    "verify": ("--graph",),
+    "bounds": ("--n", "--graph"),
+    "search": ("--t", "--max", "--budget", "--cap", "--out"),
+    "cases": ("--n",),
+}
+_VALUES = ("-", "0", "5", "05", "-3", "x")
+_token = st.sampled_from((
+    *_OPTIONS_OF, "--n", "--out", "--graph", "--t", "--max", "--budget", "--cap",
+    *_VALUES, "--help", "-h", "--bud", "--n=4", "--",
+))
+
+
+@st.composite
+def _argv(draw):
+    # Mostly near-canonical, so that both parsers often succeed: a command,
+    # some of its options with values (--max mostly without), a positional
+    # where it takes one, and now and then a stray token anywhere; a value
+    # or positional is now and then any token.
+    command = draw(st.sampled_from(list(_OPTIONS_OF)))
+    own, value = st.sampled_from(_OPTIONS_OF[command]), st.sampled_from(_VALUES + ("5", "05"))
+    some_value = lambda: draw(_token if draw(st.integers(0, 5)) == 0 else value)
+    groups = []
+    for _ in range(draw(st.integers(0, 3))):
+        option = draw(own if draw(st.integers(0, 4)) else _token)
+        flag = option == "--max" and draw(st.integers(0, 3)) > 0
+        groups.append([option] if flag else [option, some_value()])
+    if draw(st.integers(0, 7)) < (6 if command in ("verify", "search") else 1):
+        groups.insert(draw(st.integers(0, len(groups))), [some_value()])
+    if draw(st.integers(0, 3)) == 0:
+        groups.insert(draw(st.integers(0, len(groups))), [draw(_token)])
+    first = command if draw(st.integers(0, 7)) > 0 else draw(_token)
+    return [first, *(token for group in groups for token in group)]
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_argv())
+def test_canonical_args_are_what_argparse_returns(argv):
+    fast = cli_module._canonical_args(argv)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            parsed = cli_module._build_parser().parse_args(argv)
+    except SystemExit:
+        assert fast is None, argv
+        return
+    if fast is not None:  # with each value's type: True is not 1
+        typed = [{k: (type(v), v) for k, v in vars(ns).items()} for ns in (fast, parsed)]
+        assert typed[0] == typed[1], argv
+
+
+def test_canonical_argv_never_builds_the_parser(tmp_path, monkeypatch):
+    # The argv shapes of the benchmark's workloads and the README's CLI
+    # block: read from the command table, with the output argparse gives.
+    k4 = emit_graph(complete_graph(4))
+    (tmp_path / "k4.graph").write_text(k4)
+    k4_coloring = run_cli(["construct", "--n", "2"])[1]
+    (tmp_path / "k4.coloring").write_text(k4_coloring)
+    graph, coloring = str(tmp_path / "k4.graph"), str(tmp_path / "k4.coloring")
+    out_path = tmp_path / "w"
+    out = str(out_path)
+    calls = [
+        (["construct", "--n", "4"], ""),
+        (["construct", "--n", "4", "--out", out], ""),
+        (["bounds", "--n", "3"], ""),
+        (["bounds", "--graph", graph], ""),
+        (["verify", "-"], k4_coloring),
+        (["verify", "-", "--graph", graph], k4_coloring),
+        (["verify", coloring], ""),
+        (["verify", coloring, "--graph", graph], ""),
+        (["search", "-", "--t", "4"], k4),
+        (["search", "-", "--t", "5", "--budget", "100"], k4),
+        (["search", "-", "--max", "--budget", "5000"], k4),
+        (["search", graph, "--t", "4", "--out", out], ""),
+        (["search", graph, "--max", "--out", out], ""),
+        (["cases", "--n", "4"], ""),
+    ]
+
+    def results():
+        got = []
+        for argv, stdin_text in calls:
+            out_path.unlink(missing_ok=True)
+            got.append((*run_cli(argv, stdin_text), out_path.exists() and out_path.read_text()))
+        monkeypatch.setattr("sys.argv", ["intervalcoloring", "cases", "--n", "3"])
+        stdout = io.StringIO()
+        got.append((run(None, stdout=stdout), stdout.getvalue()))
+        return got
+
+    cli_module._build_parser.cache_clear()
+    fast = results()
+    assert cli_module._build_parser.cache_info().currsize == 0
+    monkeypatch.setattr(cli_module, "_canonical_args", lambda argv: None)
+    assert results() == fast
+    assert cli_module._build_parser.cache_info().currsize == 1
+    assert [code for code, *_ in fast] == [0] * 9 + [1] + [0] * 5  # K_4 has no 5-coloring
+    assert all(err == "" for _, _, err, _ in fast[:-1])
+    assert fast[-1][1].endswith("total 15 edges\n")
 
 
 class _ClosedPipe(io.StringIO):
