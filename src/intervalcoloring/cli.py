@@ -135,15 +135,17 @@ def _render_bounds(report: bounds_mod.BoundsReport, stdout: TextIO) -> None:
         stdout.write(
             f"  {side}  {entry.name:<13}  {entry.formula:<22}  {value:>4}{note}\n"
         )
-    best_lower = "-" if report.best_lower is None else report.best_lower
-    best_upper = "-" if report.best_upper is None else report.best_upper
-    stdout.write(f"  best: lower {best_lower}, upper {best_upper}\n")
+    best_lower, best_upper = report.best_lower, report.best_upper
+    stdout.write(
+        f"  best: lower {'-' if best_lower is None else best_lower}, "
+        f"upper {'-' if best_upper is None else best_upper}\n"
+    )
     stdout.write("#data\n")
     for side, entry in rows:
         value = entry.value if entry.applicable else "na"
         stdout.write(f"{side} {entry.name} {value}\n")
-    stdout.write(f"best-lower {best_lower if report.best_lower is not None else 'na'}\n")
-    stdout.write(f"best-upper {best_upper if report.best_upper is not None else 'na'}\n")
+    stdout.write(f"best-lower {'na' if best_lower is None else best_lower}\n")
+    stdout.write(f"best-upper {'na' if best_upper is None else best_upper}\n")
 
 
 def _cmd_bounds(args: argparse.Namespace, stdout: TextIO, stdin: TextIO) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Collection, Container, Iterable, Iterator, Mapping
+from typing import Collection, Container, Iterable, Iterator, Mapping, NamedTuple
 
 from .graph import Edge, Graph
 
@@ -28,8 +28,7 @@ class ViolationKind(Enum):
     EDGE_UNKNOWN = "edge-unknown"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One verifier finding, located at a vertex, an edge, or a color."""
 
     kind: ViolationKind

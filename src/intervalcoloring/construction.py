@@ -12,9 +12,8 @@ specification the test suite checks the runs against, exhaustively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .coloring import EdgeColoring, _canonical_coloring
 
@@ -73,8 +72,7 @@ def construct(n: int) -> EdgeColoring:
     return _canonical_coloring(assignment, 3 * n - 2)
 
 
-@dataclass(frozen=True)
-class CaseStats:
+class CaseStats(NamedTuple):
     """Edge count and color range of one clause over a whole K_2n."""
 
     case: CaseId

@@ -53,6 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, partial
+from typing import NamedTuple
 
 from .bounds import span_cap
 from .coloring import EdgeColoring
@@ -87,8 +88,7 @@ class SearchConfig:
             raise ValueError(f"node_budget must be >= 0, got {self.node_budget}")
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     status: SearchStatus
     coloring: EdgeColoring | None
     nodes_explored: int
@@ -472,15 +472,13 @@ class _PaletteSweep:
         return True
 
 
-@dataclass(frozen=True)
-class ProbeRecord:
+class ProbeRecord(NamedTuple):
     t: int
     status: SearchStatus
     nodes_explored: int
 
 
-@dataclass(frozen=True)
-class MaxSpanResult:
+class MaxSpanResult(NamedTuple):
     """Outcome of the downward sweep for the largest feasible span.
 
     max_span is 0 when no feasible span <= the cap was found.  complete

@@ -12,6 +12,7 @@ from intervalcoloring import (
     construct,
     graph_from_edges,
     parse_graph,
+    span_cap,
 )
 
 
@@ -189,3 +190,18 @@ def test_bounds_for_graph_work_is_not_sized_by_the_header():
     assert values == {"refined": 1999996, "general": 1999997, "triangle-free": 999999}
     assert report.best_lower is None
     assert "adjacency" not in vars(g)
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_span_cap_is_the_reports_refined_and_general_bounds(m):
+    # Edgeless, one edge, a path and complete on m vertices; t_cap runs
+    # from below every bound to above them all.
+    shapes = [graph_from_edges(m, []), complete_graph(m)]
+    if m >= 2:
+        path = [(i, i + 1) for i in range(1, m)]
+        shapes += [graph_from_edges(m, [(1, 2)]), graph_from_edges(m, path)]
+    for g in shapes:
+        report = bounds_for_graph(g)
+        caps = [bound(report, name) for name in ("refined", "general")]
+        for t in range(1, 2 * m + 2):
+            assert span_cap(g, t) == min([t, *(c for c in caps if c is not None)]), (g, t)
