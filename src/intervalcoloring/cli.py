@@ -4,9 +4,10 @@ Subcommands: construct, verify, bounds, search, cases.  Every command
 is deterministic.  Exit codes: 0 success / verified / found, 1 a check
 failed (verification FAIL, or a requested coloring was not found), 2
 usage or input errors, 141 (the shell's SIGPIPE status) when stdout is
-closed early, with no traceback.  ``verify`` checks canonical text
-from its number columns, with no graph or coloring object, and other
-text as the line loop parses it; both report as ``verify_interval``.
+closed early, with no traceback.  ``verify`` reads canonical text with
+ascending edge lines in chunks into per-vertex palettes, with no graph
+or coloring object, and other text as the line loop parses it; both
+report as ``verify_interval``.  ``construct`` writes its text in pieces.
 
 Each subcommand is declared once, in ``_COMMANDS``.  Canonical argv is
 read from that table directly; argparse, built from it for other argv
@@ -23,7 +24,7 @@ import select
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
-from typing import Callable, NamedTuple, TextIO
+from typing import Callable, Iterable, NamedTuple, TextIO
 
 from . import bounds as bounds_mod
 from . import io as formats
@@ -59,13 +60,13 @@ def _read_text(path: str, stdin: TextIO) -> str:
         raise ValueError(f"cannot read {path}: {exc}") from None
 
 
-def _write_output(text: str, out_path: str | None, stdout: TextIO) -> None:
+def _write_output(pieces: Iterable[str], out_path: str | None, stdout: TextIO) -> None:
     if out_path is None or out_path == "-":
-        stdout.write(text)
+        stdout.writelines(pieces)
         return
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from None
 
@@ -87,8 +88,7 @@ def _positive(value: str) -> int:
 def _cmd_construct(args: argparse.Namespace, stdout: TextIO, stdin: TextIO) -> int:
     # The clause runs tile the pairs of K_2n, so there is nothing to check.
     n = args.n
-    text = formats._write_runs(2 * n, 3 * n - 2, _runs(n))
-    _write_output(text, args.out, stdout)
+    _write_output(formats._write_runs(2 * n, 3 * n - 2, _runs(n)), args.out, stdout)
     return 0
 
 
@@ -97,20 +97,18 @@ def _cmd_verify(args: argparse.Namespace, stdout: TextIO, stdin: TextIO) -> int:
         raise ValueError("only one of the inputs can read stdin")
     graph = _load_graph(args.graph, stdin) if args.graph else None
     text = _read_text(args.coloring, stdin)
-    columns = formats._coloring_columns(text, graph)
-    if columns is not None:  # canonical text with the graph's edges, in range
-        vertex_count, span_t, us, vs, cs = columns
-        del text, columns  # freed before the palettes are built
-        violations, unused = _check_palettes(us, vs, cs, span_t, ())
-        edge_count = len(cs)
+    read = formats._coloring_palettes(text, graph)
+    if read is not None:  # canonical ascending text with the graph's edges, in range
+        del text  # freed before the palettes are checked
+        vertex_count, span_t, edge_count, palettes, used = read
+        violations, unused = _check_palettes(palettes, used, span_t, ())
     else:
         try:
             graph, coloring = formats._parse_coloring_lines(text, graph)
         except formats.FormatError as exc:
             raise ValueError(f"{args.coloring}: {exc}") from None
         violations, unused = _check_interval(graph, coloring)
-        vertex_count, span_t = graph.vertex_count, coloring.span_t
-        edge_count = graph.edge_count
+        vertex_count, span_t, edge_count = graph.vertex_count, coloring.span_t, graph.edge_count
     if not violations and not unused:
         stdout.write(
             f"PASS: interval coloring of {vertex_count} vertices, "
@@ -121,8 +119,7 @@ def _cmd_verify(args: argparse.Namespace, stdout: TextIO, stdin: TextIO) -> int:
     # each is atomic on a pipe.  With an unbuffered stdout (python -u,
     # PYTHONUNBUFFERED) a longer write that the reader's close cuts short
     # returns without raising, and `verify ... | head` could exit 1, not 141.
-    for piece in _fail_listing(violations, unused, _PIPE_BUF):
-        stdout.write(piece)
+    stdout.writelines(_fail_listing(violations, unused, _PIPE_BUF))
     return _CHECK_FAILED
 
 
@@ -173,7 +170,7 @@ def _cmd_search(args: argparse.Namespace, stdout: TextIO, stdin: TextIO) -> int:
         stdout.write(f"max span: {result.max_span} ({state})\n")
         if result.witness is not None:
             _write_output(
-                formats.emit_coloring(graph, result.witness), args.out, stdout
+                [formats.emit_coloring(graph, result.witness)], args.out, stdout
             )
         return 0
     cfg = SearchConfig(t=args.t, node_budget=args.budget)
@@ -184,7 +181,7 @@ def _cmd_search(args: argparse.Namespace, stdout: TextIO, stdin: TextIO) -> int:
         f"(nodes={outcome.nodes_explored})\n"
     )
     if outcome.status is SearchStatus.FOUND:
-        _write_output(formats.emit_coloring(graph, outcome.coloring), args.out, stdout)
+        _write_output([formats.emit_coloring(graph, outcome.coloring)], args.out, stdout)
         return 0
     return _CHECK_FAILED
 

@@ -3,8 +3,8 @@
 A coloring with span t is *interval* when it is a proper edge coloring
 with colors 1..t, every color in 1..t appears on at least one edge, and
 the colors incident to each vertex x form a consecutive block of exactly
-degree(x) integers.  ``_check_palettes`` reads the edges as columns u,
-v, color, so ``verify_interval`` and the CLI's ``verify`` share it.
+degree(x) integers.  ``_check_palettes`` reads each vertex's colors and
+the colors in use, so ``verify_interval`` and the CLI's ``verify`` share it.
 """
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
 from types import MappingProxyType
-from typing import Collection, Container, Iterable, Iterator, Mapping, NamedTuple
+from typing import Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .graph import Edge, Graph
 
@@ -104,74 +103,51 @@ def _canonical_coloring(assignment: dict[Edge, int], span_t: int) -> EdgeColorin
 def _check_interval(
     g: Graph, coloring: EdgeColoring
 ) -> tuple[list[Violation], list[tuple[int, int]]]:
-    """Every violation but color-unused, and the unused colors as runs.
-
-    The edge-set and color-range checks are made here; the palettes of
-    the edges of g that are colored go to _check_palettes.
-    """
-    t = coloring.span_t
-    assignment = coloring.assignment
-    violations: list[Violation] = []
-    incomplete: set[int] = set()
-
-    if assignment.keys() == g.edges:
-        edges, colors = assignment.keys(), assignment.values()
-    else:
-        for e in sorted(g.edges - assignment.keys()):
-            violations.append(Violation(ViolationKind.EDGE_UNCOLORED, edge=e))
-            incomplete.update(e)
-        for e in sorted(assignment.keys() - g.edges):
-            violations.append(Violation(ViolationKind.EDGE_UNKNOWN, edge=e))
-        edges = g.edges & assignment.keys()
-        colors = [assignment[e] for e in edges]
-
+    """Every violation but color-unused, and the unused colors as runs: the
+    edge-set and color-range checks, then _check_palettes on the colored edges."""
+    t, assignment = coloring.span_t, coloring.assignment
+    uncolored = sorted(g.edges - assignment.keys())
+    incomplete = {x for e in uncolored for x in e}
+    violations = [Violation(ViolationKind.EDGE_UNCOLORED, edge=e) for e in uncolored]
+    violations += [
+        Violation(ViolationKind.EDGE_UNKNOWN, edge=e) for e in sorted(assignment.keys() - g.edges)
+    ]
+    edges = g.edges & assignment.keys() if violations else assignment.keys()
+    colors = list(map(assignment.__getitem__, edges))
     if max(colors, default=0) > t:  # colors are positive, so only > t is out of range
         violations.extend(
             Violation(ViolationKind.COLOR_OUT_OF_RANGE, edge=e, color=assignment[e])
             for e in sorted(edges)
             if assignment[e] > t
         )
-    found, unused = _check_palettes(
-        map(itemgetter(0), edges), map(itemgetter(1), edges), colors, t, incomplete
-    )
+    palettes: defaultdict[int, list[int]] = defaultdict(list)  # colors may pass 2**63
+    for (u, v), c in zip(edges, colors):
+        palettes[u].append(c)
+        palettes[v].append(c)
+    found, unused = _check_palettes(palettes, set(colors), t, incomplete)
     return violations + found, unused
 
 
 def _check_palettes(
-    us: Iterable[int],
-    vs: Iterable[int],
-    cs: Collection[int],
-    t: int,
-    incomplete: Container[int],
+    palettes: Mapping[int, Sequence[int]], used: Iterable[int], t: int, incomplete: Container[int]
 ) -> tuple[list[Violation], list[tuple[int, int]]]:
-    """The not-proper and not-consecutive violations of the edges (u, v)
-    colored c, and the unused colors as runs (lo, hi), ascending and
-    disjoint, from the sorted distinct colors: the work is bounded by the
-    edges, not by t.  Vertices in `incomplete` have an uncolored edge and
-    are not tested for consecutive colors."""
-    incident: defaultdict[int, list[int]] = defaultdict(list)
-    for u, v, c in zip(us, vs, cs):
-        incident[u].append(c)
-        incident[v].append(c)
-
+    """The not-proper and not-consecutive violations of the vertices, each
+    passed when its sorted colors are range(lo, lo + degree), and the gaps
+    between the `used` colors as runs (lo, hi) of unused ones: the work is
+    bounded by the edges, not by t.  Vertices in `incomplete` have an
+    uncolored edge and are not tested for consecutive colors."""
     violations: list[Violation] = []
-    for x, colors in sorted(incident.items()):
-        distinct = set(colors)
-        if len(distinct) != len(colors):
-            violations.append(Violation(ViolationKind.NOT_PROPER, vertex=x))
-        if x not in incomplete and max(distinct) - min(distinct) + 1 != len(distinct):
-            violations.append(Violation(ViolationKind.NOT_CONSECUTIVE, vertex=x))
-
-    unused: list[tuple[int, int]] = []
-    last = 0  # the highest used color in 1..t seen so far
-    for c in sorted(set(cs)):
-        if c > t:
-            break
-        if c > last + 1:
-            unused.append((last + 1, c - 1))
-        last = c
-    if last < t:
-        unused.append((last + 1, t))
+    for x in sorted(palettes):
+        colors = sorted(palettes[x])
+        lo = colors[0]
+        if colors != list(range(lo, lo + len(colors))):
+            distinct = set(colors)
+            if len(distinct) != len(colors):
+                violations.append(Violation(ViolationKind.NOT_PROPER, vertex=x))
+            if x not in incomplete and colors[-1] - lo + 1 != len(distinct):
+                violations.append(Violation(ViolationKind.NOT_CONSECUTIVE, vertex=x))
+    cuts = [0, *sorted(c for c in used if c <= t), t + 1]
+    unused = [(a + 1, b - 1) for a, b in zip(cuts, cuts[1:]) if b > a + 1]
     return violations, unused
 
 

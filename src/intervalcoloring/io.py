@@ -17,12 +17,12 @@ Text as the emitters write it (canonical: a header line, then edge
 lines, each line ended by one newline, fields split by one space,
 numbers with no sign or leading zero) is read in bulk: one regex scan
 for a line break that no canonical edge line follows, one ``json``
-decode of every number, then the range, duplicate and edge-set checks
-as C-level passes over that list.  The bulk path raises nothing: any
-other text, and canonical text that fails a check, goes to the
-parser's line loop, which names every error.  ``_coloring_columns``
-hands the CLI's ``verify`` the i, j and color columns of that list, with
-no per-edge object; ``parse_coloring_with_graph`` builds the objects.
+decode of the numbers, then C-level range, duplicate and edge-set
+checks.  The bulk path raises nothing: other text, and canonical text
+that fails a check, goes to the parser's line loop, which names every
+error.  For the CLI's ``verify``, ``_coloring_palettes`` does this per
+chunk of whole lines, which must ascend, and keeps only each vertex's
+colors, in an ``array('Q')``: 2|E| machine words beside the text.
 
 Each line loop is one pass over the lines: a shared ``_header`` reads
 the header, then the parser's own loop accepts a well-formed edge line
@@ -35,17 +35,19 @@ live in one place.  The parsed data is checked here once and handed to
 Emission is canonical (pairs sorted, single trailing newline) and
 byte-stable, so emitted files are usable as goldens.  A coloring is
 emitted from its own sorted colored pairs once they are known to be the
-graph's edges; ``_write_runs`` writes the same text from a coloring's
-runs of consecutive edges in a row (construct's clause runs).
+graph's edges; ``_write_runs`` yields the same text, in pieces of whole
+rows, from a coloring's runs of consecutive edges in a row (construct's
+clause runs).
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import defaultdict
 from itertools import chain, islice, repeat
 from operator import lt
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .coloring import EdgeColoring, _canonical_coloring
 from .graph import Edge, Graph, _canonical_graph
@@ -144,6 +146,9 @@ _COLORING_SHAPE = (
     re.compile(f"c {_NUMBER} {_NUMBER}\n"),
     re.compile(f"\n(?!e {_NUMBER} {_NUMBER} {_NUMBER}\n|\\Z)"),
 )
+# Text per chunk that _coloring_palettes decodes; strings per _write_runs piece.
+_CHUNK_CHARS = 1 << 14
+_PIECE_PARTS = 1 << 14
 
 
 def _canonical_ints(
@@ -232,23 +237,40 @@ def _coloring_ints(text: str, graph: Graph | None) -> list[int] | None:
     return flat
 
 
-def _coloring_columns(
+def _coloring_palettes(
     text: str, graph: Graph | None
-) -> tuple[int, int, list[int], list[int], list[int]] | None:
-    """(vertex_count, span_t, i, j and color columns) of coloring `text` that
-    parse_coloring_with_graph's bulk path accepts; else None.  Only edges
-    out of ascending order build a set to rule out duplicates."""
-    flat = _coloring_ints(text, graph)
-    if flat is None:
+) -> tuple[int, int, int, Mapping[int, Sequence[int]], set[int]] | None:
+    """(vertex_count, span_t, edge_count, palettes, used colors) of coloring `text`
+    that parse_coloring_with_graph's bulk path accepts, with ascending edge lines,
+    read by _coloring_ints _CHUNK_CHARS characters of whole lines at a time, else
+    None.  Colors go to an array('Q') per vertex: unsigned items append faster."""
+    from array import array  # a shared library that only verify loads
+    match = _COLORING_SHAPE[0].match(text)
+    head = match and _coloring_ints(match[0], graph)
+    if not head or head[1] >> 63:  # every color fits a machine word, signed or not
         return None
-    us, vs, cs = flat[2::3], flat[3::3], flat[4::3]
-    ascending = all(map(lt, zip(us, vs), zip(islice(us, 1, None), islice(vs, 1, None))))
-    if (ascending or len(set(zip(us, vs))) == len(us)) and (
-        graph is None
-        or (graph.edge_count == len(us) and graph.edges.issuperset(zip(us, vs)))
-    ):
-        return flat[0], flat[1], us, vs, cs
-    return None
+    palettes: defaultdict[int, array[int]] = defaultdict(lambda: array("Q"))
+    used: set[int] = set()
+    edge_count, last, start = 0, (0, 0), match.end()
+    while start < len(text):
+        end = text.find("\n", min(start + _CHUNK_CHARS, len(text)) - 1) + 1 or len(text)
+        flat = _coloring_ints(match[0] + text[start:end], graph)
+        if flat is None:
+            return None
+        us, vs, cs = flat[2::3], flat[3::3], flat[4::3]
+        if not all(map(lt, chain([last], zip(us, vs)), zip(us, vs))) or (
+            graph is not None and not graph.edges.issuperset(zip(us, vs))
+        ):
+            return None
+        for u, v, c in zip(us, vs, cs):
+            palettes[u].append(c)
+            palettes[v].append(c)
+        used.update(cs)
+        edge_count += len(cs)
+        last, start = (us[-1], vs[-1]), end
+    if graph is not None and graph.edge_count != edge_count:
+        return None
+    return head[0], head[1], edge_count, palettes, used
 
 
 def parse_coloring_with_graph(
@@ -351,19 +373,24 @@ def emit_coloring(g: Graph, coloring: EdgeColoring) -> str:
 
 def _write_runs(
     vertex_count: int, span_t: int, runs: Iterable[tuple[int, int, int, int, int]]
-) -> str:
-    """Canonical text of a coloring given as runs (tag, i, lo, hi, shift).
+) -> Iterator[str]:
+    """Canonical text of a coloring given as runs (tag, i, lo, hi, shift),
+    in pieces of whole rows, each cut at the first row end past _PIECE_PARTS strings.
 
     Each run colors the edges (i, j), lo <= j < hi, with j + shift; the
     runs must come in canonical edge order, cover the graph's edges once
-    and keep every color in 1..span_t.  Lines are joined once from tables
-    of the number strings, so no string is built per edge.
+    and keep every color in 1..span_t.  Lines are joined from tables of
+    the number strings, so no string is built per edge.
     """
     num = list(map(str, range(vertex_count + 1)))
     tail = [f" {c}\n" for c in range(span_t + 1)]
-    parts = [f"c {vertex_count} {span_t}\n"]
+    parts, row = [f"c {vertex_count} {span_t}\n"], 0
     for _, i, lo, hi, shift in runs:
+        if i != row and len(parts) >= _PIECE_PARTS:
+            yield "".join(parts)
+            parts = []
+        row = i
         parts += chain.from_iterable(
             zip(repeat(f"e {i} "), num[lo:hi], tail[lo + shift : hi + shift])
         )
-    return "".join(parts)
+    yield "".join(parts)

@@ -226,8 +226,8 @@ def test_verify_listing_is_the_library_report(tmp_path):
 
 
 def test_canonical_text_takes_the_column_path(monkeypatch, tmp_path):
-    # Canonical text is checked from its number columns: neither parser,
-    # nor the object checker, is called for a PASS or a FAIL.
+    # Canonical text is read in chunks into per-vertex palettes: neither
+    # parser, nor the object checker, is called for a PASS or a FAIL.
     _, text, _ = run_cli(["construct", "--n", "60"])
     (tmp_path / "k120.graph").write_text(emit_graph(complete_graph(120)))
     lines = text.split("\n")
@@ -266,6 +266,101 @@ def test_verify_peak_memory_is_bounded():
         tracemalloc.stop()
     assert code == 0 and out.startswith("PASS")
     assert peak < 3 << 20
+
+
+def test_verify_peak_memory_is_the_text_and_the_palettes():
+    # The stdin buffer is made before tracing starts, so the peak is the
+    # text verify reads, its palettes (2|E| machine words) and one chunk.
+    _, text, _ = run_cli(["construct", "--n", "200"])
+    stdin, out, err = io.StringIO(text), io.StringIO(), io.StringIO()
+    tracemalloc.start()
+    try:
+        code = run(["verify", "-"], stdin=stdin, stdout=out, stderr=err)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, err.getvalue()) == (0, "")
+    assert out.getvalue() == "PASS: interval coloring of 400 vertices, span 598, 79800 edges\n"
+    assert peak < 4 << 20
+
+
+def _line_loop_verdict(text, graph=None):
+    """verify's (exit code, stdout, stderr) on stdin `text` as the line loop
+    and the object checker give it."""
+    try:
+        graph, coloring = coloring_io._parse_coloring_lines(text, graph)
+    except FormatError as exc:
+        return 2, "", f"error: -: {exc}\n"
+    violations, unused = coloring_module._check_interval(graph, coloring)
+    listing = [f"  {v}\n" for v in violations] + [
+        f"  color-unused at color {c}\n" for lo, hi in unused for c in range(lo, hi + 1)
+    ]
+    if listing:
+        return 1, f"FAIL: {len(listing)} violation(s)\n" + "".join(listing), ""
+    return 0, (
+        f"PASS: interval coloring of {graph.vertex_count} vertices, "
+        f"span {coloring.span_t}, {graph.edge_count} edges\n"
+    ), ""
+
+
+@pytest.mark.parametrize("size", [1, 8, 20, 64, None])
+def test_chunked_verify_is_the_line_loop_across_chunk_boundaries(monkeypatch, tmp_path, size):
+    # size None keeps the default chunk; K_80's text spans several of them.
+    if size is not None:
+        monkeypatch.setattr(coloring_io, "_CHUNK_CHARS", size)
+    size = coloring_io._CHUNK_CHARS
+    _, text, _ = run_cli(["construct", "--n", "40"])
+    header, *lines = text.splitlines(keepends=True)
+    assert header == "c 80 118\n"
+    # The last line of the first chunk, as _coloring_palettes cuts it
+    # (each chunk ends at the first line that takes it to `size` chars),
+    # whose next line has its length, so swapping the two moves no cut.
+    filled, ends = 0, []
+    for k, line in enumerate(lines):
+        filled += len(line)
+        if filled >= size:
+            ends.append(k)
+            filled = 0
+    k = next(k for k in ends if len(lines[k]) == len(lines[k + 1]))
+    _, i, j, c = lines[k + 1].split()
+
+    def body(edited):
+        return header + "".join(edited)
+
+    k80 = complete_graph(80)
+    short = graph_from_edges(80, k80.edges - {(int(i), int(j))})
+    cases = [  # (text, graph, whether the chunk reader accepts it)
+        (text, None, True),
+        (body([lines[0], "e 1 3 1\n", *lines[2:]]), None, True),  # not proper at 1
+        ("c 80 121" + text[len("c 80 118"):], None, True),  # span raised
+        (body(lines[: k + 1] + lines[k:]), None, False),  # a repeat starts chunk 2
+        (body(lines[:k] + [lines[k + 1], lines[k]] + lines[k + 2 :]), None, False),
+        (body(lines[: k + 1] + [f"e {i} {j} 119\n"] + lines[k + 2 :]), None, False),
+        (body(lines[: k + 1] + [f"e {i} x {c}\n"] + lines[k + 2 :]), None, False),
+        (text, k80, True),
+        (text, short, False),  # the file's line k + 2 is not a graph edge
+    ]
+    for edited, graph, accepted in cases:
+        assert (coloring_io._coloring_palettes(edited, graph) is not None) == accepted
+        argv = ["verify", "-"]
+        if graph is not None:
+            (tmp_path / "g.graph").write_text(emit_graph(graph))
+            argv += ["--graph", str(tmp_path / "g.graph")]
+        assert run_cli(argv, edited) == _line_loop_verdict(edited, graph)
+
+
+def test_a_color_past_a_machine_word_never_reaches_an_array(monkeypatch):
+    # A span of 2**63 or more sends the text to the line loop, which names
+    # the repeat, as the whole-text decode did; no array item overflows.
+    monkeypatch.setattr(coloring_io, "_CHUNK_CHARS", 1)
+    text = "c 3 100000000000000000000\ne 1 2 10000000000000000000\ne 1 3 1\ne 1 3 1\n"
+    assert run_cli(["verify", "-"], text) == (
+        2, "", "error: -: line 4: duplicate edge (1, 3)\n"
+    )
+    # Colors of 2**63 and 2**66 in text the chunk reader would otherwise take.
+    for color in (1 << 63, 1 << 66):
+        wide = f"c 3 {1 << 66}\ne 1 2 {color}\ne 1 3 1\n"
+        assert coloring_io._coloring_palettes(wide, None) is None
 
 
 def test_verify_against_graph_file(tmp_path):

@@ -433,6 +433,22 @@ def test_deep_sweep_node_counts_are_pinned(m, t, status, nodes):
         assert verify_interval(g, out.coloring).verdict
 
 
+def test_max_span_of_k16_is_26_and_complete():
+    # W(K_16) = 26, above the construction's 3n - 2 = 22, with no budget
+    # stop: the sweep from the refined bound 2|V| - 4 = 28 exhausts 28
+    # and 27 and finds 26 (~4-5 s).
+    g = complete_graph(16)
+    result = compute_max_span(g, 10**9)
+    assert [(p.t, p.status, p.nodes_explored) for p in result.probes] == [
+        (28, SearchStatus.EXHAUSTED_NO_SOLUTION, 32_771),
+        (27, SearchStatus.EXHAUSTED_NO_SOLUTION, 28_858),
+        (26, SearchStatus.FOUND, 470_618),
+    ]
+    assert (result.max_span, result.complete) == (26, True)
+    assert result.witness.span_t == 26
+    assert verify_interval(g, result.witness).verdict
+
+
 def test_sweep_node_total_over_small_graphs_is_pinned():
     graphs = canonical_graphs_upto(5)
     results = [compute_max_span(g, 2 * g.vertex_count) for g in graphs]
