@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable
 
 Edge = tuple[int, int]
@@ -20,8 +21,8 @@ class Graph:
     `graph_from_edges` for pairs in either order).  Graphs the library
     builds from pairs it has just checked, or that are canonical by
     construction, are not checked again.  Instances are immutable and
-    safe to share across threads.  `adjacency` is the one
-    index of the vertices that have an edge: degrees are read from it.
+    safe to share across threads.  `max_degree` counts edge ends, so
+    reading it builds no neighbor sets.
     """
 
     vertex_count: int
@@ -57,7 +58,7 @@ class Graph:
 
     @cached_property
     def max_degree(self) -> int:
-        return max(map(len, self.adjacency.values()), default=0)
+        return max(Counter(chain.from_iterable(self.edges)).values(), default=0)
 
 
 def _canonical_graph(vertex_count: int, edges: frozenset[Edge]) -> Graph:

@@ -25,7 +25,7 @@ color.  Prunes:
   is counted), and G[S_c] passes a necessary check for a perfect
   matching (forced pairs, then even components:
   O(|S_c| + |E(G[S_c])|) bitmask steps, memoized by vertex set for the
-  sweep);
+  sweep in a plain dict that phase A reads inline);
 * start deadlines -- an unstarted vertex must start by t - deg + 1 and
   by the end of every started neighbor's palette;
 * color t -- some edge vw takes color t, and no palette goes past t, so
@@ -52,11 +52,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, partial
 from typing import NamedTuple
 
 from .bounds import span_cap
-from .coloring import EdgeColoring
+from .coloring import EdgeColoring, _canonical_coloring
 from .graph import Graph
 
 # About six times the ~8.8e5 nodes that exhaust K_20 span 36, so stock
@@ -108,21 +107,22 @@ def find_interval_coloring(g: Graph, cfg: SearchConfig) -> SearchOutcome:
     return _PaletteSweep(g).probe(cfg.t, cfg.node_budget)
 
 
-def _twin_classes(nbr: list[int]) -> list[int]:
-    """Mask of each vertex's twin class, the vertex included.
+def _twin_classes(adj: list[list[int]]) -> list[int]:
+    """Mask of each vertex's twin class, the vertex included; adj[w] is w's sorted neighbors.
 
     u and w are twins when N(u) - {w} == N(w) - {u}: equal open (false
     twins) or closed (true twins) neighborhoods; swapping them is an
     automorphism.  The classes partition the vertices: if u had a false
     twin w and a true twin x, then x is in N(u) = N(w), so w is in
-    N[x] = N[u], a contradiction.
+    N[x] = N[u], a contradiction.  Keys are sorted neighbor tuples: no k-bit mask is hashed.
     """
-    by_open: dict[int, int] = {}
-    by_closed: dict[int, int] = {}
-    for w, n in enumerate(nbr):
+    keys = [(tuple(a), tuple(sorted([*a, w]))) for w, a in enumerate(adj)]
+    by_open: dict[tuple[int, ...], int] = {}
+    by_closed: dict[tuple[int, ...], int] = {}
+    for w, (n, c) in enumerate(keys):
         by_open[n] = by_open.get(n, 0) | 1 << w
-        by_closed[n | 1 << w] = by_closed.get(n | 1 << w, 0) | 1 << w
-    return [by_open[n] | by_closed[n | 1 << w] for w, n in enumerate(nbr)]
+        by_closed[c] = by_closed.get(c, 0) | 1 << w
+    return [by_open[n] | by_closed[c] for n, c in keys]
 
 
 def _fits(lo: int, hi: int, windows: list[tuple[int, int]]) -> bool:
@@ -188,31 +188,38 @@ class _PaletteSweep:
     """
 
     def __init__(self, g: Graph) -> None:
-        self.edges = g.sorted_edges
-        adjacency = g.adjacency
-        self.labels = sorted(adjacency)
+        self.edge_count = g.edge_count
+        neighbors: dict[int, list[int]] = {}
+        for i, j in g.edges:  # the one pass over the edges
+            neighbors.setdefault(i, []).append(j)
+            neighbors.setdefault(j, []).append(i)
+        self.labels = sorted(neighbors)
         index = {x: k for k, x in enumerate(self.labels)}
-        self.adj = adj = [sorted(map(index.get, adjacency[x])) for x in self.labels]
+        self.adj = adj = [sorted(map(index.__getitem__, neighbors[x])) for x in self.labels]
         self.deg = [len(a) for a in adj]
         self.max_degree = max(self.deg, default=0)
-        self.nbr = [sum(1 << w for w in a) for a in adj]
-        self.twins = _twin_classes(self.nbr)  # fixed for the whole sweep
+        self.nbr = [sum(map((1).__lshift__, a)) for a in adj]
+        self.twins = _twin_classes(adj)  # fixed for the whole sweep
         self.by_degree: dict[int, int] = {}  # degree -> vertices of that degree
         for v, d in enumerate(self.deg):
             self.by_degree[d] = self.by_degree.get(d, 0) | 1 << v
         self.at_most = [0]  # at_most[r]: vertices of degree <= r, for r <= max degree
         for d in range(1, self.max_degree + 1):
             self.at_most.append(self.at_most[-1] | self.by_degree.get(d, 0))
-        # Memoized for the whole sweep: probes at different spans meet the same sets.
-        self.may_match = cache(partial(_may_match, self.nbr))
+        self.matched: dict[int, bool] = {}  # _may_match by vertex set, for every probe
+
+    def may_match(self, s: int) -> bool:
+        """_may_match(self.nbr, s) through the sweep's memo, as probe reads it inline."""
+        if (ok := self.matched.get(s)) is None:
+            ok = self.matched[s] = _may_match(self.nbr, s)
+        return ok
 
     def probe(self, t: int, budget: int) -> SearchOutcome:
         """Decide span t; a node is one start decision or one edge placement."""
-        deg, adj, nbr, at_most = self.deg, self.adj, self.nbr, self.at_most
-        if t < self.max_degree or len(self.edges) < t:
+        deg, adj, nbr, at_most, matched = self.deg, self.adj, self.nbr, self.at_most, self.matched
+        if t < self.max_degree or self.edge_count < t:
             return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, None, 0)
-        k = len(deg)
-        top = self.max_degree
+        k, top = len(deg), self.max_degree
         nodes = 0
         # start[v] is the color v starts at, read only once v has started.
         # lim[w] is the last color an unstarted w may start at: its
@@ -237,7 +244,7 @@ class _PaletteSweep:
         everyone = (1 << k) - 1
         base, choices = self._level(t, 1, start, lim, everyone, 0, 0)
         # A level: [c, left, frontier, ends, inside, base, choices, trail mark]
-        levels = [[1, everyone, 0, everyone, len(self.edges), base, choices, 0]]
+        levels = [[1, everyone, 0, everyone, self.edge_count, base, choices, 0]]
         while levels:
             c, left, frontier, ends, inside, base, choices, mark = levels[-1]
             room = t - c + 1  # t - e_v == room - deg(v) for a starter v
@@ -252,7 +259,9 @@ class _PaletteSweep:
                 if budget and nodes == budget:
                     return SearchOutcome(SearchStatus.BUDGET_EXCEEDED, None, nodes)
                 nodes += 1
-                if not self.may_match(s):
+                if (ok := matched.get(s)) is None:
+                    ok = matched[s] = _may_match(nbr, s)
+                if not ok:
                     continue
                 new = s & left
                 # The child's left, frontier, ends and inside.
@@ -439,9 +448,9 @@ class _PaletteSweep:
                 frames.append(frame(c, rem))
             elif self._edges_fit(c, colors[c], start, end, unused):
                 if c == t:
-                    labels = self.labels
+                    labels = self.labels  # ascending, so each placed pair is canonical
                     placed = {(labels[fr[2]], labels[fr[4]]): fr[0] for fr in frames}
-                    witness = EdgeColoring({e: placed[e] for e in self.edges}, span_t=t)
+                    witness = _canonical_coloring(dict(sorted(placed.items())), t)
                     return SearchOutcome(SearchStatus.FOUND, witness, nodes)
                 frames.append(frame(c + 1, colors[c + 1]))
         return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, None, nodes)
@@ -514,7 +523,7 @@ def compute_max_span(
     probes: list[ProbeRecord] = []
     budget_gap = False
     sweep = _PaletteSweep(g)
-    for t in range(span_cap(g, t_cap), g.max_degree - 1, -1):
+    for t in range(span_cap(g, t_cap), sweep.max_degree - 1, -1):
         outcome = sweep.probe(t, node_budget)
         probes.append(ProbeRecord(t, outcome.status, outcome.nodes_explored))
         if outcome.status is SearchStatus.FOUND:

@@ -231,6 +231,38 @@ def tree_max_span(g: Graph) -> int:
     return 1 + best
 
 
+def reference_sweep_tables(g: Graph) -> dict[str, object]:
+    """The palette sweep's set-up tables, built as the sweep built them
+    before its one pass over the edges: from `Graph.adjacency`, with the
+    twin classes keyed by k-bit neighbor masks."""
+    adjacency = g.adjacency
+    labels = sorted(adjacency)
+    index = {x: k for k, x in enumerate(labels)}
+    adj = [sorted(index[y] for y in adjacency[x]) for x in labels]
+    deg = [len(a) for a in adj]
+    nbr = [sum(1 << w for w in a) for a in adj]
+    by_open: dict[int, int] = {}
+    by_closed: dict[int, int] = {}
+    for w, n in enumerate(nbr):
+        by_open[n] = by_open.get(n, 0) | 1 << w
+        by_closed[n | 1 << w] = by_closed.get(n | 1 << w, 0) | 1 << w
+    by_degree: dict[int, int] = {}
+    for v, d in enumerate(deg):
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    at_most = [0]
+    for d in range(1, max(deg, default=0) + 1):
+        at_most.append(at_most[-1] | by_degree.get(d, 0))
+    return {
+        "labels": labels,
+        "adj": adj,
+        "nbr": nbr,
+        "deg": deg,
+        "twins": [by_open[n] | by_closed[n | 1 << w] for w, n in enumerate(nbr)],
+        "by_degree": by_degree,
+        "at_most": at_most,
+    }
+
+
 def edge_search(g: Graph, t: int, budget: int) -> SearchOutcome:
     """Reference engine: the edge search that `search --t` ran before it
     moved onto the palette sweep.  Shares no code with the search module.

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -103,6 +104,21 @@ def test_incident_edges_and_adjacency():
     assert g.max_degree == 2
     isolated = graph_from_edges(5, [(1, 2)])
     assert set(isolated.adjacency) == {1, 2}
+
+
+def test_max_degree_counts_edge_ends():
+    # Against the neighbor sets, on random graphs with and without
+    # isolated vertices (up to three top vertices never get an edge).
+    rng = random.Random(30)
+    isolated = 0
+    for _ in range(300):
+        v = rng.randint(2, 12)
+        pairs = list(combinations(range(1, v + 1), 2))
+        g = Graph(v + rng.randint(0, 3), frozenset(rng.sample(pairs, rng.randint(1, len(pairs)))))
+        assert g.max_degree == max(len(a) for a in g.adjacency.values()), g
+        isolated += len(g.adjacency) < g.vertex_count
+    assert 100 < isolated < 300
+    assert Graph(5).max_degree == 0
 
 
 @settings(max_examples=100, deadline=None)

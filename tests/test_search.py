@@ -1,3 +1,4 @@
+import io
 import random
 import time
 import tracemalloc
@@ -14,6 +15,7 @@ from conftest import (
     brute_force_exists,
     canonical_graphs_upto,
     edge_search,
+    reference_sweep_tables,
     reflect,
     tree_max_span,
 )
@@ -25,12 +27,13 @@ from intervalcoloring import (
     bounds_for_k2n,
     complete_graph,
     compute_max_span,
+    emit_graph,
     find_interval_coloring,
     graph_from_edges,
     span_cap,
     verify_interval,
 )
-from intervalcoloring import search
+from intervalcoloring import cli, search
 from intervalcoloring.search import _PaletteSweep, _may_match, _twin_classes
 
 
@@ -563,7 +566,7 @@ def test_twin_classes_match_the_definition_and_partition():
         pairs = list(combinations(range(n), 2))
         for bits in range(1 << len(pairs)):
             nbr = _nbr(n, [p for b, p in enumerate(pairs) if bits >> b & 1])
-            twins = _twin_classes(nbr)
+            twins = _twin_classes([[w for w in range(n) if nbr[v] >> w & 1] for v in range(n)])
             for u in range(n):
                 expected = sum(
                     1 << w
@@ -572,6 +575,64 @@ def test_twin_classes_match_the_definition_and_partition():
                 )
                 assert twins[u] == expected, (n, bits, u)
                 assert all(twins[w] == expected for w in range(n) if expected >> w & 1)
+
+
+def test_sweep_set_up_equals_the_reference():
+    # The one pass over the edges and the tuple-keyed twin classes give
+    # the tables that Graph.adjacency and mask-keyed classes gave.
+    rng = random.Random(30)
+    shapes = [
+        Graph(10**6, frozenset({(2, 5), (5, 999999)})),
+        graph_from_edges(1101, [(i, i + 1) for i in range(1, 1101)]),
+    ]
+    for _ in range(500):
+        v = rng.randint(2, 12)
+        pairs = list(combinations(range(1, v + 1), 2))
+        shapes.append(graph_from_edges(v, rng.sample(pairs, rng.randint(0, len(pairs)))))
+    for g in shapes:
+        sweep = _PaletteSweep(g)
+        reference = reference_sweep_tables(g)
+        assert {name: getattr(sweep, name) for name in reference} == reference, g
+        assert (sweep.max_degree, sweep.edge_count) == (max(sweep.deg, default=0), g.edge_count)
+
+
+def test_search_reads_no_graph_view(monkeypatch):
+    # With Graph.adjacency and Graph.sorted_edges raising, the library
+    # calls and the CLI give the answers, node counts and witnesses (in
+    # sorted edge order) that they give with them.
+    k6 = complete_graph(6)
+    text = emit_graph(k6)
+
+    def answers():
+        g = Graph(6, k6.edges)
+        probes = [find_interval_coloring(g, SearchConfig(t, 0)) for t in (7, 8)]
+        stdout = io.StringIO()
+        argv = ["search", "-", "--t", "7"]
+        code = cli.run(argv, stdin=io.StringIO(text), stdout=stdout, stderr=io.StringIO())
+        return probes, compute_max_span(g, 10**9), code, stdout.getvalue()
+
+    expected = answers()
+
+    def no_view(self):
+        raise AssertionError("the search read a Graph view")
+
+    monkeypatch.setattr(Graph, "adjacency", property(no_view))
+    monkeypatch.setattr(Graph, "sorted_edges", property(no_view))
+    (found, exhausted), result, code, out = got = answers()
+    assert got == expected
+    assert (found.status, found.nodes_explored) == (SearchStatus.FOUND, 23)
+    assert (exhausted.status, exhausted.nodes_explored) == (SearchStatus.EXHAUSTED_NO_SOLUTION, 14)
+    assert (result.max_span, result.complete) == (7, True)
+    for witness in (found.coloring, result.witness):
+        assert list(witness.assignment) == sorted(k6.edges)
+    assert code == 0
+    assert out.startswith("search t=7 on 6 vertices, 15 edges: found (nodes=23)\nc 6 7\ne 1 2 ")
+    monkeypatch.undo()
+    n = 1101
+    path = graph_from_edges(n, [(i, i + 1) for i in range(1, n)])
+    assert find_interval_coloring(path, SearchConfig(n - 1, 0)).status is SearchStatus.FOUND
+    assert "adjacency" not in vars(path)
+    assert "sorted_edges" not in vars(path)
 
 
 def _reference_start_sets(twins, optional, left):
