@@ -51,19 +51,12 @@ def _entry(name: str, formula: str, value: int, applies: bool, reason: str) -> B
     return BoundEntry(name, formula, None, False, reason)
 
 
-def _refined_general(vertex_count: int, edge_count: int) -> tuple[BoundEntry, BoundEntry]:
-    """The refined and general upper bounds, which `span_cap` reads too."""
-    m = vertex_count
-    return (
-        _entry("refined", "2|V|-4", 2 * m - 4, m >= 3, "requires |V| >= 3"),
-        _entry("general", "2|V|-3", 2 * m - 3, edge_count > 0, "requires at least one edge"),
-    )
-
-
 def span_cap(g: Graph, t_cap: int) -> int:
     """t_cap tightened by the refined and general bounds, not the triangle-free one."""
-    caps = _refined_general(g.vertex_count, g.edge_count)
-    return min([t_cap, *(e.value for e in caps if e.applicable)])
+    m = g.vertex_count
+    if m >= 3:  # refined, 2|V|-4, which is below general
+        return min(t_cap, 2 * m - 4)
+    return min(t_cap, 2 * m - 3) if g.edge_count else t_cap
 
 
 # The lower bounds hold for K_2n only, where |V| = 2n.
@@ -81,7 +74,8 @@ def _report(vertex_count: int, edge_count: int, triangle_free: bool) -> BoundsRe
                    k2n, _EVEN_COMPLETE),
         ),
         (
-            *_refined_general(m, edge_count),
+            _entry("refined", "2|V|-4", 2 * m - 4, m >= 3, "requires |V| >= 3"),
+            _entry("general", "2|V|-3", 2 * m - 3, edge_count > 0, "requires at least one edge"),
             _entry("triangle-free", "|V|-1", m - 1, triangle_free, "graph contains a triangle"),
         ),
     )

@@ -15,14 +15,15 @@ Tokens are whitespace-separated; blank lines and lines starting with
 
 Text as the emitters write it (canonical: a header line, then edge
 lines, each line ended by one newline, fields split by one space,
-numbers with no sign or leading zero) is read in bulk: one regex scan
-for a line break that no canonical edge line follows, one ``json``
-decode of the numbers, then C-level range, duplicate and edge-set
-checks.  The bulk path raises nothing: other text, and canonical text
-that fails a check, goes to the parser's line loop, which names every
-error.  For the CLI's ``verify``, ``_coloring_palettes`` does this per
-chunk of whole lines, which must ascend, and keeps only each vertex's
-colors, in an ``array('Q')``: 2|E| machine words beside the text.
+numbers with no sign or leading zero) is read by one chunked reader,
+``_canonical_chunks``: it decodes the header once, then each chunk of
+whole edge lines with one regex scan for a stray line break and one
+``json`` decode, and checks ids and colors.  Each caller rules out
+duplicates with what it builds: the parsers by the size of their
+frozenset or dict, the CLI's ``verify`` (``_coloring_palettes``, which
+keeps only each vertex's colors, in an ``array('Q')``) by requiring the
+pairs to ascend.  Other text, and canonical text that fails a check,
+goes to the parser's line loop, which names every error.
 
 Each line loop is one pass over the lines: a shared ``_header`` reads
 the header, then the parser's own loop accepts a well-formed edge line
@@ -45,7 +46,8 @@ from __future__ import annotations
 import json
 import re
 from collections import defaultdict
-from itertools import chain, islice, repeat
+from contextlib import suppress
+from itertools import chain, repeat
 from operator import lt
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -135,52 +137,63 @@ def _reject(tokens: list[str], lineno: int, vertex_count: int, arity: int) -> No
 
 _NUMBER = "[1-9][0-9]*"
 # (canonical header line, a line break that no canonical edge line or
-# the end of the text follows).  The second is searched, not matched
-# over the body: a repeated group would make sre keep backtracking
-# state in proportion to the line count.
+# the end of the text follows, numbers per edge line).  The break is
+# searched, not matched over the body: a repeated group would make sre
+# keep backtracking state in proportion to the line count.
 _GRAPH_SHAPE = (
-    re.compile(f"p {_NUMBER} (?:0|{_NUMBER})\n"),
+    re.compile(f"p ({_NUMBER}) (0|{_NUMBER})\n"),
     re.compile(f"\n(?!e {_NUMBER} {_NUMBER}\n|\\Z)"),
+    2,
 )
 _COLORING_SHAPE = (
-    re.compile(f"c {_NUMBER} {_NUMBER}\n"),
+    re.compile(f"c ({_NUMBER}) ({_NUMBER})\n"),
     re.compile(f"\n(?!e {_NUMBER} {_NUMBER} {_NUMBER}\n|\\Z)"),
+    3,
 )
-# Text per chunk that _coloring_palettes decodes; strings per _write_runs piece.
+# Text per chunk that _canonical_chunks decodes; strings per _write_runs piece.
 _CHUNK_CHARS = 1 << 14
 _PIECE_PARTS = 1 << 14
 
 
-def _canonical_ints(
-    text: str, shape: tuple[re.Pattern[str], re.Pattern[str]]
-) -> list[int] | None:
-    """Every number of canonical `text` in order, header first; else None."""
-    header, stray_break = shape
+def _canonical_chunks(
+    text: str, shape: tuple[re.Pattern[str], re.Pattern[str], int]
+) -> Iterator[list[int]]:
+    """Yield the two header numbers of canonical `text`, then the numbers of each
+    chunk of whole edge lines (ended by the line that takes it to _CHUNK_CHARS)
+    once its shape, i < j <= vertex_count and color <= span_t hold; raise
+    ValueError at the first chunk that fails.  The caller rules out duplicates."""
+    header, stray_break, arity = shape
     match = header.match(text)
-    if match is None or stray_break.search(text, match.end() - 1):
-        return None
-    # "c 4 4\ne 1 2 1\n" -> "[4,4,1,2,1\n]": no string is made per token.
-    try:
-        return json.loads("[" + text[2:].replace("\ne ", " ").replace(" ", ",") + "]")
-    except ValueError:  # a number past int's digit limit
-        return None
-
-
-def _edges_in_range(flat: list[int], arity: int) -> bool:
-    """Whether every edge in `flat` (see _canonical_ints) has i < j <= vertex_count."""
-    return max(islice(flat, 3, None, arity), default=0) <= flat[0] and all(
-        map(lt, islice(flat, 2, None, arity), islice(flat, 3, None, arity))
-    )
+    if match is None:
+        raise ValueError("not canonical")
+    # int raises ValueError past its digit limit, as the json decode does.
+    vertex_count, second = head = [int(match[1]), int(match[2])]
+    yield head
+    start = match.end()
+    while start < len(text):
+        end = text.find("\n", min(start + _CHUNK_CHARS, len(text)) - 1) + 1 or len(text)
+        if stray_break.search(text, start - 1, end):
+            raise ValueError("not canonical")
+        # "e 1 2 1\ne 1 3 2\n" -> "[1,2,1,1,3,2\n]": no string is made per token.
+        numbers = text[start + 2 : end].replace("\ne ", " ").replace(" ", ",")
+        flat = json.loads(f"[{numbers}]")
+        vs = flat[1::arity]
+        if max(vs) > vertex_count or not all(map(lt, flat[::arity], vs)) or (
+            arity == 3 and max(flat[2::3]) > second
+        ):
+            raise ValueError("out of range")
+        yield flat
+        start = end
 
 
 def parse_graph(text: str) -> Graph:
     """Parse a graph file; all malformations raise FormatError."""
-    flat = _canonical_ints(text, _GRAPH_SHAPE)
-    if flat is not None and _edges_in_range(flat, 2):
-        it = islice(flat, 2, None)
-        edges = frozenset(zip(it, it))
-        if len(edges) == flat[1] == (len(flat) - 2) // 2:
-            return _canonical_graph(flat[0], edges)
+    with suppress(ValueError):  # not canonical: the line loop names the error
+        chunks = _canonical_chunks(text, _GRAPH_SHAPE)
+        vertex_count, edge_count = next(chunks)
+        edges = frozenset(chain.from_iterable(zip(it, it) for it in map(iter, chunks)))
+        if len(edges) == edge_count == text.count("\n") - 1:  # one line per edge
+            return _canonical_graph(vertex_count, edges)
     return _parse_graph_lines(text)
 
 
@@ -224,53 +237,36 @@ def emit_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _coloring_ints(text: str, graph: Graph | None) -> list[int] | None:
-    """_canonical_ints of coloring `text` if its ids, colors and vertex count fit."""
-    flat = _canonical_ints(text, _COLORING_SHAPE)
-    if (
-        flat is None
-        or (graph is not None and graph.vertex_count != flat[0])
-        or not _edges_in_range(flat, 3)
-        or max(islice(flat, 4, None, 3), default=0) > flat[1]
-    ):
-        return None
-    return flat
-
-
 def _coloring_palettes(
     text: str, graph: Graph | None
 ) -> tuple[int, int, int, Mapping[int, Sequence[int]], set[int]] | None:
     """(vertex_count, span_t, edge_count, palettes, used colors) of coloring `text`
     that parse_coloring_with_graph's bulk path accepts, with ascending edge lines,
-    read by _coloring_ints _CHUNK_CHARS characters of whole lines at a time, else
-    None.  Colors go to an array('Q') per vertex: unsigned items append faster."""
+    else None.  Colors go to an array('Q') per vertex: unsigned items append faster."""
     from array import array  # a shared library that only verify loads
-    match = _COLORING_SHAPE[0].match(text)
-    head = match and _coloring_ints(match[0], graph)
-    if not head or head[1] >> 63:  # every color fits a machine word, signed or not
-        return None
     palettes: defaultdict[int, array[int]] = defaultdict(lambda: array("Q"))
     used: set[int] = set()
-    edge_count, last, start = 0, (0, 0), match.end()
-    while start < len(text):
-        end = text.find("\n", min(start + _CHUNK_CHARS, len(text)) - 1) + 1 or len(text)
-        flat = _coloring_ints(match[0] + text[start:end], graph)
-        if flat is None:
-            return None
-        us, vs, cs = flat[2::3], flat[3::3], flat[4::3]
-        if not all(map(lt, chain([last], zip(us, vs)), zip(us, vs))) or (
-            graph is not None and not graph.edges.issuperset(zip(us, vs))
-        ):
-            return None
-        for u, v, c in zip(us, vs, cs):
-            palettes[u].append(c)
-            palettes[v].append(c)
-        used.update(cs)
-        edge_count += len(cs)
-        last, start = (us[-1], vs[-1]), end
-    if graph is not None and graph.edge_count != edge_count:
-        return None
-    return head[0], head[1], edge_count, palettes, used
+    edge_count, last = 0, (0, 0)
+    with suppress(ValueError):
+        chunks = _canonical_chunks(text, _COLORING_SHAPE)
+        vertex_count, span_t = next(chunks)
+        if span_t >> 63 or (graph is not None and graph.vertex_count != vertex_count):
+            return None  # every color fits a machine word, signed or not
+        for flat in chunks:
+            us, vs, cs = flat[::3], flat[1::3], flat[2::3]
+            if not all(map(lt, chain([last], zip(us, vs)), zip(us, vs))) or (
+                graph is not None and not graph.edges.issuperset(zip(us, vs))
+            ):
+                return None
+            for u, v, c in zip(us, vs, cs):
+                palettes[u].append(c)
+                palettes[v].append(c)
+            used.update(cs)
+            edge_count += len(cs)
+            last = (us[-1], vs[-1])
+        if graph is None or graph.edge_count == edge_count:
+            return vertex_count, span_t, edge_count, palettes, used
+    return None
 
 
 def parse_coloring_with_graph(
@@ -282,15 +278,15 @@ def parse_coloring_with_graph(
     (unknown-edge / missing-edge errors otherwise).  Without it, the
     graph is reconstructed from the edge lines themselves.
     """
-    flat = _coloring_ints(text, graph)
-    if flat is not None:
-        vertex_count, span_t, lines = flat[0], flat[1], (len(flat) - 2) // 3
-        it = islice(flat, 2, None)
-        assignment = dict(zip(zip(it, it), it))
-        del flat, it  # freed before the graph's frozenset is built
+    with suppress(ValueError):
+        chunks = _canonical_chunks(text, _COLORING_SHAPE)
+        vertex_count, span_t = next(chunks)
+        assignment = dict(chain.from_iterable(zip(zip(it, it), it) for it in map(iter, chunks)))
+        lines = text.count("\n") - 1
         if len(assignment) == lines and (  # no duplicate, unknown or missing edge
             graph is None
-            or (lines == graph.edge_count and graph.edges.issuperset(assignment))
+            or (graph.vertex_count, graph.edge_count) == (vertex_count, lines)
+            and graph.edges.issuperset(assignment)
         ):
             if graph is None:
                 graph = _canonical_graph(vertex_count, frozenset(assignment))

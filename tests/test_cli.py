@@ -312,7 +312,7 @@ def test_chunked_verify_is_the_line_loop_across_chunk_boundaries(monkeypatch, tm
     _, text, _ = run_cli(["construct", "--n", "40"])
     header, *lines = text.splitlines(keepends=True)
     assert header == "c 80 118\n"
-    # The last line of the first chunk, as _coloring_palettes cuts it
+    # The last line of the first chunk, as _canonical_chunks cuts it
     # (each chunk ends at the first line that takes it to `size` chars),
     # whose next line has its length, so swapping the two moves no cut.
     filled, ends = 0, []

@@ -1,8 +1,10 @@
 import gc
 import io
+import random
 import tracemalloc
 from itertools import combinations
 from types import FrameType, MappingProxyType
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -385,19 +387,28 @@ def mutated_coloring_files(draw):
     return text, draw(graphs(min_vertices=m, max_vertices=m + draw(st.integers(0, 1))))
 
 
+# Each example is read at the default chunk size and at one line per
+# chunk, so every line end of the text is also a chunk cut.
+CHUNK_SIZES = (formats._CHUNK_CHARS, 1)
+
+
 @settings(max_examples=400, deadline=None)
 @given(mutated_graph_files())
 def test_parse_graph_agrees_with_the_reference_parser(text):
-    assert _outcome(parse_graph, text) == _outcome(reference_parse_graph, text)
+    want = _outcome(reference_parse_graph, text)
+    for size in CHUNK_SIZES:
+        with patch.object(formats, "_CHUNK_CHARS", size):
+            assert _outcome(parse_graph, text) == want, size
 
 
 @settings(max_examples=400, deadline=None)
 @given(mutated_coloring_files())
 def test_parse_coloring_agrees_with_the_reference_parser(case):
     text, graph = case
-    assert _outcome(parse_coloring_with_graph, text, graph) == _outcome(
-        reference_parse_coloring_with_graph, text, graph
-    )
+    want = _outcome(reference_parse_coloring_with_graph, text, graph)
+    for size in CHUNK_SIZES:
+        with patch.object(formats, "_CHUNK_CHARS", size):
+            assert _outcome(parse_coloring_with_graph, text, graph) == want, size
 
 
 # ------------------------------------------------------- bulk accept path
@@ -409,6 +420,13 @@ def _construct_text(n):
     out = io.StringIO()
     assert cli.run(["construct", "--n", str(n)], stdout=out) == 0
     return out.getvalue()
+
+
+def _shuffled(text):
+    """`text` with its edge lines in a seeded random order: still canonical."""
+    header, *lines = text.splitlines(keepends=True)
+    random.Random(31).shuffle(lines)
+    return header + "".join(lines)
 
 
 def test_canonical_text_takes_the_bulk_path(monkeypatch, tmp_path):
@@ -423,6 +441,12 @@ def test_canonical_text_takes_the_bulk_path(monkeypatch, tmp_path):
     monkeypatch.setattr(formats, "_parse_coloring_lines", no_line_loop)
     assert parse_coloring_with_graph(text) == (complete_graph(120), construct(60))
     assert parse_graph(graph_text) == complete_graph(120)
+    # The parsers rule out duplicates by the size of the set or dict they
+    # build, so canonical text in any order is read in bulk too.
+    mixed_text, mixed_graph_text = _shuffled(text), _shuffled(graph_text)
+    assert mixed_text != text and mixed_graph_text != graph_text
+    assert parse_coloring_with_graph(mixed_text) == (complete_graph(120), construct(60))
+    assert parse_graph(mixed_graph_text) == complete_graph(120)
     out = io.StringIO()
     argv = ["verify", "-", "--graph", str(tmp_path / "k120.graph")]
     assert cli.run(argv, stdin=io.StringIO(text), stdout=out) == 0
