@@ -18,12 +18,15 @@ lines, each line ended by one newline, fields split by one space,
 numbers with no sign or leading zero) is read by one chunked reader,
 ``_canonical_chunks``: it decodes the header once, then each chunk of
 whole edge lines with one regex scan for a stray line break and one
-``json`` decode, and checks ids and colors.  Each caller rules out
-duplicates with what it builds: the parsers by the size of their
-frozenset or dict, the CLI's ``verify`` (``_coloring_palettes``, which
-keeps only each vertex's colors, in an ``array('Q')``) by requiring the
-pairs to ascend.  Other text, and canonical text that fails a check,
-goes to the parser's line loop, which names every error.
+``json`` decode.  Each caller checks ids and colors and rules out
+duplicates with what it builds: the parsers call ``_in_range`` on each
+chunk and compare the size of their frozenset or dict with the line
+count; the CLI's ``verify`` (``_coloring_palettes``, which keeps only
+each vertex's colors, in an ``array('Q')``) walks each chunk once,
+requiring the pairs to ascend, checking ids once per row and colors
+once per chunk as it fills the palettes.  Other text, and canonical
+text that fails a check, goes to the parser's line loop, which names
+every error.
 
 Each line loop is one pass over the lines: a shared ``_header`` reads
 the header, then the parser's own loop accepts a well-formed edge line
@@ -46,7 +49,6 @@ from __future__ import annotations
 import json
 import re
 from collections import defaultdict
-from contextlib import suppress
 from itertools import chain, repeat
 from operator import lt
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -137,18 +139,16 @@ def _reject(tokens: list[str], lineno: int, vertex_count: int, arity: int) -> No
 
 _NUMBER = "[1-9][0-9]*"
 # (canonical header line, a line break that no canonical edge line or
-# the end of the text follows, numbers per edge line).  The break is
-# searched, not matched over the body: a repeated group would make sre
-# keep backtracking state in proportion to the line count.
+# the end of the text follows).  The break is searched, not matched over
+# the body: a repeated group would make sre keep backtracking state in
+# proportion to the line count.
 _GRAPH_SHAPE = (
     re.compile(f"p ({_NUMBER}) (0|{_NUMBER})\n"),
     re.compile(f"\n(?!e {_NUMBER} {_NUMBER}\n|\\Z)"),
-    2,
 )
 _COLORING_SHAPE = (
     re.compile(f"c ({_NUMBER}) ({_NUMBER})\n"),
     re.compile(f"\n(?!e {_NUMBER} {_NUMBER} {_NUMBER}\n|\\Z)"),
-    3,
 )
 # Text per chunk that _canonical_chunks decodes; strings per _write_runs piece.
 _CHUNK_CHARS = 1 << 14
@@ -156,19 +156,19 @@ _PIECE_PARTS = 1 << 14
 
 
 def _canonical_chunks(
-    text: str, shape: tuple[re.Pattern[str], re.Pattern[str], int]
+    text: str, shape: tuple[re.Pattern[str], re.Pattern[str]]
 ) -> Iterator[list[int]]:
     """Yield the two header numbers of canonical `text`, then the numbers of each
     chunk of whole edge lines (ended by the line that takes it to _CHUNK_CHARS)
-    once its shape, i < j <= vertex_count and color <= span_t hold; raise
-    ValueError at the first chunk that fails.  The caller rules out duplicates."""
-    header, stray_break, arity = shape
+    once its shape holds; raise ValueError at the first chunk that fails.  The
+    numbers are positive; the caller checks ids and colors and rules out
+    duplicates."""
+    header, stray_break = shape
     match = header.match(text)
     if match is None:
         raise ValueError("not canonical")
     # int raises ValueError past its digit limit, as the json decode does.
-    vertex_count, second = head = [int(match[1]), int(match[2])]
-    yield head
+    yield [int(match[1]), int(match[2])]
     start = match.end()
     while start < len(text):
         end = text.find("\n", min(start + _CHUNK_CHARS, len(text)) - 1) + 1 or len(text)
@@ -176,24 +176,35 @@ def _canonical_chunks(
             raise ValueError("not canonical")
         # "e 1 2 1\ne 1 3 2\n" -> "[1,2,1,1,3,2\n]": no string is made per token.
         numbers = text[start + 2 : end].replace("\ne ", " ").replace(" ", ",")
-        flat = json.loads(f"[{numbers}]")
-        vs = flat[1::arity]
-        if max(vs) > vertex_count or not all(map(lt, flat[::arity], vs)) or (
-            arity == 3 and max(flat[2::3]) > second
-        ):
-            raise ValueError("out of range")
-        yield flat
+        yield json.loads(f"[{numbers}]")
         start = end
+
+
+def _in_range(flat: list[int], arity: int, vertex_count: int, span_t: int) -> list[int]:
+    """`flat`, the numbers of a chunk of edge lines, once i < j <= vertex_count
+    and, for a coloring (arity 3), color <= span_t hold; else ValueError."""
+    vs = flat[1::arity]
+    if max(vs) > vertex_count or not all(map(lt, flat[::arity], vs)) or (
+        arity == 3 and max(flat[2::3]) > span_t
+    ):
+        raise ValueError("out of range")
+    return flat
 
 
 def parse_graph(text: str) -> Graph:
     """Parse a graph file; all malformations raise FormatError."""
-    with suppress(ValueError):  # not canonical: the line loop names the error
+    try:
         chunks = _canonical_chunks(text, _GRAPH_SHAPE)
         vertex_count, edge_count = next(chunks)
-        edges = frozenset(chain.from_iterable(zip(it, it) for it in map(iter, chunks)))
+        flat: list[int] = []
+        for chunk in chunks:
+            flat += _in_range(chunk, 2, vertex_count, 0)
+        it = iter(flat)
+        edges = frozenset(zip(it, it))
         if len(edges) == edge_count == text.count("\n") - 1:  # one line per edge
             return _canonical_graph(vertex_count, edges)
+    except ValueError:  # not canonical: the line loop names the error
+        pass
     return _parse_graph_lines(text)
 
 
@@ -242,31 +253,44 @@ def _coloring_palettes(
 ) -> tuple[int, int, int, Mapping[int, Sequence[int]], set[int]] | None:
     """(vertex_count, span_t, edge_count, palettes, used colors) of coloring `text`
     that parse_coloring_with_graph's bulk path accepts, with ascending edge lines,
-    else None.  Colors go to an array('Q') per vertex: unsigned items append faster."""
+    else None.  Each chunk is walked once: the pairs must ascend (u never drops,
+    v rises within a row), so ids are checked once per row (its first v is above
+    u, its last v at most vertex_count), and each color goes to the array('Q') of
+    both ends (unsigned items append faster) once the chunk's colors are in range."""
     from array import array  # a shared library that only verify loads
     palettes: defaultdict[int, array[int]] = defaultdict(lambda: array("Q"))
     used: set[int] = set()
-    edge_count, last = 0, (0, 0)
-    with suppress(ValueError):
+    edge_count = row = last = 0
+    try:
         chunks = _canonical_chunks(text, _COLORING_SHAPE)
         vertex_count, span_t = next(chunks)
         if span_t >> 63 or (graph is not None and graph.vertex_count != vertex_count):
             return None  # every color fits a machine word, signed or not
         for flat in chunks:
-            us, vs, cs = flat[::3], flat[1::3], flat[2::3]
-            if not all(map(lt, chain([last], zip(us, vs)), zip(us, vs))) or (
-                graph is not None and not graph.edges.issuperset(zip(us, vs))
+            cs = flat[2::3]
+            if max(cs) > span_t or (
+                graph is not None and not graph.edges.issuperset(zip(flat[::3], flat[1::3]))
             ):
                 return None
-            for u, v, c in zip(us, vs, cs):
-                palettes[u].append(c)
+            it = iter(flat)
+            for u, v, c in zip(it, it, it):
+                if u == row:
+                    if v <= last:
+                        return None
+                elif u > row and v > u and last <= vertex_count:
+                    row, append = u, palettes[u].append
+                else:
+                    return None
+                append(c)
                 palettes[v].append(c)
+                last = v
             used.update(cs)
             edge_count += len(cs)
-            last = (us[-1], vs[-1])
-        if graph is None or graph.edge_count == edge_count:
-            return vertex_count, span_t, edge_count, palettes, used
-    return None
+    except ValueError:  # not canonical
+        return None
+    if last > vertex_count or graph is not None and graph.edge_count != edge_count:
+        return None
+    return vertex_count, span_t, edge_count, palettes, used
 
 
 def parse_coloring_with_graph(
@@ -278,19 +302,23 @@ def parse_coloring_with_graph(
     (unknown-edge / missing-edge errors otherwise).  Without it, the
     graph is reconstructed from the edge lines themselves.
     """
-    with suppress(ValueError):
+    try:
         chunks = _canonical_chunks(text, _COLORING_SHAPE)
         vertex_count, span_t = next(chunks)
-        assignment = dict(chain.from_iterable(zip(zip(it, it), it) for it in map(iter, chunks)))
-        lines = text.count("\n") - 1
-        if len(assignment) == lines and (  # no duplicate, unknown or missing edge
-            graph is None
-            or (graph.vertex_count, graph.edge_count) == (vertex_count, lines)
-            and graph.edges.issuperset(assignment)
-        ):
-            if graph is None:
-                graph = _canonical_graph(vertex_count, frozenset(assignment))
-            return graph, _canonical_coloring(assignment, span_t)
+        if graph is None or graph.vertex_count == vertex_count:  # else graph-mismatch
+            assignment: dict[Edge, int] = {}
+            for chunk in chunks:
+                it = iter(_in_range(chunk, 3, vertex_count, span_t))
+                assignment.update(zip(zip(it, it), it))
+            lines = text.count("\n") - 1
+            if len(assignment) == lines and (  # no duplicate, unknown or missing edge
+                graph is None or graph.edge_count == lines and graph.edges.issuperset(assignment)
+            ):
+                if graph is None:
+                    graph = _canonical_graph(vertex_count, frozenset(assignment))
+                return graph, _canonical_coloring(assignment, span_t)
+    except ValueError:  # not canonical: the line loop names the error
+        pass
     return _parse_coloring_lines(text, graph)
 
 

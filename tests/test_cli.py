@@ -7,12 +7,14 @@ import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import accumulate
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import classifier_twin
+from test_io import mutated_coloring_files
 from intervalcoloring import (
     FormatError,
     Graph,
@@ -312,21 +314,39 @@ def test_chunked_verify_is_the_line_loop_across_chunk_boundaries(monkeypatch, tm
     _, text, _ = run_cli(["construct", "--n", "40"])
     header, *lines = text.splitlines(keepends=True)
     assert header == "c 80 118\n"
-    # The last line of the first chunk, as _canonical_chunks cuts it
-    # (each chunk ends at the first line that takes it to `size` chars),
-    # whose next line has its length, so swapping the two moves no cut.
-    filled, ends = 0, []
-    for k, line in enumerate(lines):
-        filled += len(line)
-        if filled >= size:
-            ends.append(k)
-            filled = 0
-    k = next(k for k in ends if len(lines[k]) == len(lines[k + 1]))
-    _, i, j, c = lines[k + 1].split()
+
+    def chunk_ends(edge_lines):
+        """The index of the last line of each chunk, as _canonical_chunks cuts
+        them (each chunk ends at the first line that takes it to `size` chars)."""
+        filled, ends = 0, []
+        for k, line in enumerate(edge_lines):
+            filled += len(line)
+            if filled >= size:
+                ends.append(k)
+                filled = 0
+        return ends
 
     def body(edited):
         return header + "".join(edited)
 
+    # The last line of the first chunk whose next line has its length, so
+    # swapping the two moves no cut.
+    k = next(k for k in chunk_ends(lines) if len(lines[k]) == len(lines[k + 1]))
+    _, i, j, c = lines[k + 1].split()
+    # A row that starts at a chunk cut, in the text without its first d lines.
+    rows = [line.split()[1] for line in lines]
+    d, r = next(
+        (d, k + 1)
+        for d in range(len(lines))
+        for k in [d + end for end in chunk_ends(lines[d:])]
+        if k + 1 < len(lines) and rows[k] != rows[k + 1]
+    )
+    _, u, _, uc = lines[r].split()
+    _, p, _, pc = lines[r - 1].split()
+
+    # Row 1 ends at lines[78], row 2 starts at lines[79].
+    assert lines[78].startswith("e 1 80 ") and lines[79].startswith("e 2 3 ")
+    assert lines[-1].startswith("e 79 80 ")
     k80 = complete_graph(80)
     short = graph_from_edges(80, k80.edges - {(int(i), int(j))})
     cases = [  # (text, graph, whether the chunk reader accepts it)
@@ -339,6 +359,16 @@ def test_chunked_verify_is_the_line_loop_across_chunk_boundaries(monkeypatch, tm
         (body(lines[: k + 1] + [f"e {i} x {c}\n"] + lines[k + 2 :]), None, False),
         (text, k80, True),
         (text, short, False),  # the file's line k + 2 is not a graph edge
+        # Ids out of range where the reader checks them once per row.
+        (body(lines[:78] + [f"e 1 81 {lines[78].split()[3]}\n"] + lines[79:]), None, False),
+        (body(lines[:-1] + [f"e 79 81 {lines[-1].split()[3]}\n"]), None, False),
+        (body(lines[:79] + [f"e 2 2 {lines[79].split()[3]}\n"] + lines[80:]), None, False),
+        (body(lines[:80] + [lines[78]] + lines[80:]), None, False),  # back to row 1
+        # The row at a chunk cut: as is, i == j on its first line, and an id
+        # out of range on the line before the cut.
+        (body(lines[d:]), None, True),
+        (body(lines[d:r] + [f"e {u} {u} {uc}\n"] + lines[r + 1 :]), None, False),
+        (body(lines[d : r - 1] + [f"e {p} 81 {pc}\n"] + lines[r:]), None, False),
     ]
     for edited, graph, accepted in cases:
         assert (coloring_io._coloring_palettes(edited, graph) is not None) == accepted
@@ -347,6 +377,23 @@ def test_chunked_verify_is_the_line_loop_across_chunk_boundaries(monkeypatch, tm
             (tmp_path / "g.graph").write_text(emit_graph(graph))
             argv += ["--graph", str(tmp_path / "g.graph")]
         assert run_cli(argv, edited) == _line_loop_verdict(edited, graph)
+
+
+@settings(max_examples=500, deadline=None)
+@given(mutated_coloring_files())
+def test_chunked_verify_is_the_line_loop_on_mutated_files(tmp_path_factory, case):
+    # An edge line has at least 8 chars, so at sizes 1 and 7 each line is a
+    # chunk, and at 16 each chunk holds two.
+    text, graph = case
+    graph_path = tmp_path_factory.getbasetemp() / "mutated.graph"
+    argvs = [(["verify", "-"], None)]
+    if graph is not None:
+        graph_path.write_text(emit_graph(graph))
+        argvs.append((["verify", "-", "--graph", str(graph_path)], graph))
+    for size in (coloring_io._CHUNK_CHARS, 1, 7, 16):
+        with patch.object(coloring_io, "_CHUNK_CHARS", size):
+            for argv, given_graph in argvs:
+                assert run_cli(argv, text) == _line_loop_verdict(text, given_graph), size
 
 
 def test_a_color_past_a_machine_word_never_reaches_an_array(monkeypatch):

@@ -491,6 +491,15 @@ def test_errors_in_canonical_text_are_named_as_the_reference_names_them(
     assert _outcome(parse_coloring_with_graph, text, graph) == want
 
 
+def test_a_vertex_count_mismatch_is_named_before_any_chunk_is_decoded():
+    # The header alone decides graph-mismatch, so no chunk is decoded.
+    text = _construct_text(20)
+    with patch.object(formats.json, "loads", side_effect=AssertionError("decoded")):
+        with pytest.raises(FormatError) as exc:
+            parse_coloring_with_graph(text, complete_graph(41))
+    assert (exc.value.kind, exc.value.line) == ("graph-mismatch", 1)
+
+
 @pytest.mark.parametrize(
     "edit,kind",
     [(lambda t: t + "e 118 119\n", "duplicate-edge"),
