@@ -1,4 +1,4 @@
-"""Immutable simple undirected graphs on vertices 1..vertex_count."""
+"""Immutable simple undirected graphs: a vertex count and a set of edges."""
 
 from __future__ import annotations
 
@@ -21,7 +21,8 @@ class Graph:
     `graph_from_edges` for pairs in either order).  Graphs the library
     builds from pairs it has just checked, or that are canonical by
     construction, are not checked again.  Instances are immutable and
-    safe to share across threads.  `max_degree` counts edge ends, so
+    safe to share across threads.  A graph is its two fields; the one
+    fact derived from them and kept, `max_degree`, counts edge ends, so
     reading it builds no neighbor sets.
     """
 
@@ -42,19 +43,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def sorted_edges(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self.edges))
-
-    @cached_property
-    def adjacency(self) -> dict[int, frozenset[int]]:
-        """Neighbor sets of the vertices that have an edge; isolated vertices are absent."""
-        neighbors: dict[int, set[int]] = {}
-        for i, j in self.edges:
-            neighbors.setdefault(i, set()).add(j)
-            neighbors.setdefault(j, set()).add(i)
-        return {x: frozenset(s) for x, s in neighbors.items()}
 
     @cached_property
     def max_degree(self) -> int:

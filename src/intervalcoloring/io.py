@@ -20,11 +20,11 @@ numbers with no sign or leading zero) is read by one chunked reader,
 whole edge lines with one regex scan for a stray line break and one
 ``json`` decode.  Each caller checks ids and colors and rules out
 duplicates with what it builds: the parsers call ``_in_range`` on each
-chunk and compare the size of their frozenset or dict with the line
-count; the CLI's ``verify`` (``_coloring_palettes``, which keeps only
-each vertex's colors, in an ``array('Q')``) walks each chunk once,
-requiring the pairs to ascend, checking ids once per row and colors
-once per chunk as it fills the palettes.  Other text, and canonical
+chunk and compare the size of their frozenset or dict with the number
+of edge lines decoded; the CLI's ``verify`` (``_coloring_palettes``,
+which keeps only each vertex's colors, in an ``array('Q')``) walks each
+chunk once, requiring the pairs to ascend, checking ids once per row
+and colors once per chunk as it fills the palettes.  Other text, and canonical
 text that fails a check, goes to the parser's line loop, which names
 every error.
 
@@ -201,7 +201,7 @@ def parse_graph(text: str) -> Graph:
             flat += _in_range(chunk, 2, vertex_count, 0)
         it = iter(flat)
         edges = frozenset(zip(it, it))
-        if len(edges) == edge_count == text.count("\n") - 1:  # one line per edge
+        if len(edges) == edge_count == len(flat) // 2:  # one pair per edge line
             return _canonical_graph(vertex_count, edges)
     except ValueError:  # not canonical: the line loop names the error
         pass
@@ -244,7 +244,7 @@ def _parse_graph_lines(text: str) -> Graph:
 def emit_graph(g: Graph) -> str:
     """Canonical graph-file text for g."""
     lines = [f"p {g.vertex_count} {g.edge_count}"]
-    lines.extend(f"e {i} {j}" for i, j in g.sorted_edges)
+    lines.extend(f"e {i} {j}" for i, j in sorted(g.edges))
     return "\n".join(lines) + "\n"
 
 
@@ -307,10 +307,11 @@ def parse_coloring_with_graph(
         vertex_count, span_t = next(chunks)
         if graph is None or graph.vertex_count == vertex_count:  # else graph-mismatch
             assignment: dict[Edge, int] = {}
+            lines = 0  # one triple per edge line
             for chunk in chunks:
                 it = iter(_in_range(chunk, 3, vertex_count, span_t))
                 assignment.update(zip(zip(it, it), it))
-            lines = text.count("\n") - 1
+                lines += len(chunk) // 3
             if len(assignment) == lines and (  # no duplicate, unknown or missing edge
                 graph is None or graph.edge_count == lines and graph.edges.issuperset(assignment)
             ):

@@ -208,12 +208,6 @@ class _PaletteSweep:
             self.at_most.append(self.at_most[-1] | self.by_degree.get(d, 0))
         self.matched: dict[int, bool] = {}  # _may_match by vertex set, for every probe
 
-    def may_match(self, s: int) -> bool:
-        """_may_match(self.nbr, s) through the sweep's memo, as probe reads it inline."""
-        if (ok := self.matched.get(s)) is None:
-            ok = self.matched[s] = _may_match(self.nbr, s)
-        return ok
-
     def probe(self, t: int, budget: int) -> SearchOutcome:
         """Decide span t; a node is one start decision or one edge placement."""
         deg, adj, nbr, at_most, matched = self.deg, self.adj, self.nbr, self.at_most, self.matched
@@ -409,16 +403,18 @@ class _PaletteSweep:
 
     def _color_edges(self, t: int, start: list[int], budget: int, nodes: int) -> SearchOutcome:
         """Phase B: with every start fixed, match each S_c over uncolored edges."""
-        deg = self.deg
+        deg, nbr, matched = self.deg, self.nbr, self.matched
         end = [a + d - 1 for a, d in zip(start, deg)]
         colors = [0] * (t + 1)
         for v in range(len(deg)):
             for c in range(start[v], end[v] + 1):
                 colors[c] |= 1 << v
         for s in colors[1:]:
-            if not s or not self.may_match(s):
+            if s and (ok := matched.get(s)) is None:
+                ok = matched[s] = _may_match(nbr, s)
+            if not s or not ok:
                 return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, None, nodes)
-        unused = self.nbr.copy()  # neighbors over uncolored edges
+        unused = nbr.copy()  # neighbors over uncolored edges
 
         def frame(c: int, rem: int) -> list:
             # [color, vertices left to match, v, partners left, w placed]

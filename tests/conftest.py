@@ -231,11 +231,21 @@ def tree_max_span(g: Graph) -> int:
     return 1 + best
 
 
+def neighbor_sets(g: Graph) -> dict[int, frozenset[int]]:
+    """The neighbor set of each vertex of g that has an edge; isolated
+    vertices are absent."""
+    neighbors: dict[int, set[int]] = {}
+    for i, j in g.edges:
+        neighbors.setdefault(i, set()).add(j)
+        neighbors.setdefault(j, set()).add(i)
+    return {x: frozenset(s) for x, s in neighbors.items()}
+
+
 def reference_sweep_tables(g: Graph) -> dict[str, object]:
     """The palette sweep's set-up tables, built as the sweep built them
-    before its one pass over the edges: from `Graph.adjacency`, with the
+    before its one pass over the edges: from the neighbor sets, with the
     twin classes keyed by k-bit neighbor masks."""
-    adjacency = g.adjacency
+    adjacency = neighbor_sets(g)
     labels = sorted(adjacency)
     index = {x: k for k, x in enumerate(labels)}
     adj = [sorted(index[y] for y in adjacency[x]) for x in labels]
@@ -285,11 +295,11 @@ def edge_search(g: Graph, t: int, budget: int) -> SearchOutcome:
     lowest set bits are the max and min) plus the degree, kept only for
     the vertices that have an edge.
     """
-    edges = g.sorted_edges
+    edges = sorted(g.edges)
     num_edges = len(edges)
     # State is indexed 1..k over the k vertices that have an edge, in
     # ascending order, so isolated vertices named by the header cost nothing.
-    adjacency = g.adjacency
+    adjacency = neighbor_sets(g)
     index = {x: k for k, x in enumerate(sorted(adjacency), 1)}
     pairs = [(index[i], index[j]) for i, j in edges]
     deg = [0, *(len(adjacency[x]) for x in index)]

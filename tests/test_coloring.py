@@ -3,7 +3,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 
-from conftest import colored_graphs, palettes, reflect, round_robin
+from conftest import colored_graphs, neighbor_sets, palettes, reflect, round_robin
 from intervalcoloring import (
     EdgeColoring,
     Graph,
@@ -256,9 +256,10 @@ def test_passing_palettes_span_equals_degree(n):
     c = construct(n)
     assert verify_interval(g, c).verdict
     at = palettes(c)
-    assert set(at) == set(g.adjacency)
+    neighbors = neighbor_sets(g)
+    assert set(at) == set(neighbors)
     for x, colors in at.items():
-        assert colors[-1] - colors[0] + 1 == len(g.adjacency[x]) == len(colors)
+        assert colors[-1] - colors[0] + 1 == len(neighbors[x]) == len(colors)
 
 
 @pytest.mark.parametrize("make", [construct, round_robin])

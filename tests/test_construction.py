@@ -7,6 +7,7 @@ from conftest import (
     case_color,
     classifier_twin,
     classify_edge,
+    neighbor_sets,
     palettes,
     round_robin,
 )
@@ -161,7 +162,8 @@ def test_constructed_palettes_are_regular(n):
     c = construct(n)
     colors = palettes(c)
     assert set(colors) == set(range(1, 2 * n + 1))
-    assert all(len(colors[x]) == len(g.adjacency[x]) == 2 * n - 1 for x in colors)
+    neighbors = neighbor_sets(g)
+    assert all(len(colors[x]) == len(neighbors[x]) == 2 * n - 1 for x in colors)
 
 
 def test_construct_is_deterministic():

@@ -4,8 +4,20 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from conftest import graphs
-from intervalcoloring import Graph, complete_graph, graph_from_edges, is_triangle_free
+from conftest import graphs, neighbor_sets
+from intervalcoloring import (
+    Graph,
+    SearchConfig,
+    bounds_for_graph,
+    complete_graph,
+    compute_max_span,
+    emit_graph,
+    find_interval_coloring,
+    graph_from_edges,
+    is_triangle_free,
+    parse_graph,
+    verify_interval,
+)
 from intervalcoloring.graph import _canonical_graph
 
 
@@ -29,12 +41,13 @@ def test_complete_graph_rejects_zero():
 def test_complete_graph_is_regular(m):
     g = complete_graph(m)
     assert g.edge_count == m * (m - 1) // 2
-    assert all(len(g.adjacency.get(x, ())) == m - 1 for x in range(1, m + 1))
+    neighbors = neighbor_sets(g)
+    assert all(len(neighbors.get(x, ())) == m - 1 for x in range(1, m + 1))
 
 
 def test_degree_of_isolated_vertex_is_zero():
     g = Graph(4, frozenset({(1, 2)}))
-    assert 3 not in g.adjacency and 4 not in g.adjacency
+    assert not any(x in e for e in g.edges for x in (3, 4))
     assert g.max_degree == 1
 
 
@@ -85,13 +98,8 @@ def test_is_triangle_free():
     assert not is_triangle_free(complete_graph(5))
 
 
-def test_is_triangle_free_stops_at_the_first_triangle(monkeypatch):
-    # It walks the edges itself and stops when a triangle closes, rather
-    # than build every neighbor set of Graph.adjacency first.
-    def no_adjacency(self):
-        raise AssertionError("is_triangle_free built Graph.adjacency")
-
-    monkeypatch.setattr(Graph, "adjacency", property(no_adjacency))
+def test_is_triangle_free_stops_at_the_first_triangle():
+    # It walks the edges and stops when a triangle closes.
     assert not is_triangle_free(complete_graph(40))
     six_cycle = graph_from_edges(6, [(i, i % 6 + 1) for i in range(1, 7)])
     assert is_triangle_free(six_cycle)
@@ -99,24 +107,25 @@ def test_is_triangle_free_stops_at_the_first_triangle(monkeypatch):
 
 def test_incident_edges_and_adjacency():
     g = graph_from_edges(4, [(1, 2), (1, 3), (2, 4)])
-    assert sorted((1, y) for y in g.adjacency[1]) == [(1, 2), (1, 3)]
-    assert g.adjacency[2] == frozenset({1, 4})
+    assert sorted(e for e in g.edges if 1 in e) == [(1, 2), (1, 3)]
+    assert sum(2 in e for e in g.edges) == 2
     assert g.max_degree == 2
-    isolated = graph_from_edges(5, [(1, 2)])
-    assert set(isolated.adjacency) == {1, 2}
+    assert graph_from_edges(5, [(1, 2)]).max_degree == 1
 
 
 def test_max_degree_counts_edge_ends():
-    # Against the neighbor sets, on random graphs with and without
-    # isolated vertices (up to three top vertices never get an edge).
+    # Against neighbor sets built from the edges, on random graphs with
+    # and without isolated vertices (up to three top vertices never get
+    # an edge).
     rng = random.Random(30)
     isolated = 0
     for _ in range(300):
         v = rng.randint(2, 12)
         pairs = list(combinations(range(1, v + 1), 2))
         g = Graph(v + rng.randint(0, 3), frozenset(rng.sample(pairs, rng.randint(1, len(pairs)))))
-        assert g.max_degree == max(len(a) for a in g.adjacency.values()), g
-        isolated += len(g.adjacency) < g.vertex_count
+        neighbors = neighbor_sets(g)
+        assert g.max_degree == max(len(a) for a in neighbors.values()), g
+        isolated += len(neighbors) < g.vertex_count
     assert 100 < isolated < 300
     assert Graph(5).max_degree == 0
 
@@ -129,8 +138,6 @@ def test_unchecked_graph_equals_the_checked_one(g):
     assert unchecked == checked
     assert hash(unchecked) == hash(checked)
     assert unchecked.edges is g.edges
-    assert unchecked.sorted_edges == checked.sorted_edges
-    assert unchecked.adjacency == checked.adjacency
 
 
 @pytest.mark.parametrize("m", range(1, 21))
@@ -138,3 +145,18 @@ def test_complete_graph_equals_its_checked_twin(m):
     twin = Graph(m, frozenset(combinations(range(1, m + 1), 2)))
     assert complete_graph(m) == twin
     assert hash(complete_graph(m)) == hash(twin)
+
+
+def test_a_graph_keeps_only_its_fields():
+    # A graph is its vertex count and edge set; of what the library
+    # derives from them, it keeps only max_degree.  The 6-cycle is
+    # triangle-free, so is_triangle_free walks every edge.
+    g = parse_graph("p 6 6\ne 1 2\ne 1 6\ne 2 3\ne 3 4\ne 4 5\ne 5 6\n")
+    assert emit_graph(g) == "p 6 6\ne 1 2\ne 1 6\ne 2 3\ne 3 4\ne 4 5\ne 5 6\n"
+    assert is_triangle_free(g)
+    assert bounds_for_graph(g).best_upper is not None
+    found = find_interval_coloring(g, SearchConfig(3, 0))
+    assert found.coloring is not None
+    assert compute_max_span(g, 10**9).complete
+    assert verify_interval(g, found.coloring).verdict
+    assert set(vars(g)) <= {"vertex_count", "edges", "max_degree"}
