@@ -6,8 +6,11 @@ failed (verification FAIL, or a requested coloring was not found), 2
 usage or input errors, 141 (the shell's SIGPIPE status) when stdout is
 closed early, with no traceback.  ``verify`` reads canonical text with
 ascending edge lines in chunks into per-vertex palettes, with no graph
-or coloring object, and other text as the line loop parses it; both
-report as ``verify_interval``.  ``construct`` writes its text in pieces.
+or coloring object, a canonical ``--graph`` file in lockstep with it,
+and other text as the line loop parses it, from the chunk the reader
+stopped at; both report as ``verify_interval``.  A graph file that does
+not parse is named before any error of the coloring file.  ``construct``
+writes its text in pieces.
 
 Each subcommand is declared once, in ``_COMMANDS``.  Canonical argv is
 read from that table directly; argparse, built from it for other argv
@@ -71,9 +74,9 @@ def _write_output(pieces: Iterable[str], out_path: str | None, stdout: TextIO) -
         raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from None
 
 
-def _load_graph(path: str, stdin: TextIO) -> Graph:
+def _load_graph(path: str, stdin: TextIO, text: str | None = None) -> Graph:
     try:
-        return formats.parse_graph(_read_text(path, stdin))
+        return formats.parse_graph(_read_text(path, stdin) if text is None else text)
     except formats.FormatError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -95,16 +98,26 @@ def _cmd_construct(args: argparse.Namespace, stdout: TextIO, stdin: TextIO) -> i
 def _cmd_verify(args: argparse.Namespace, stdout: TextIO, stdin: TextIO) -> int:
     if args.coloring == "-" and args.graph == "-":
         raise ValueError("only one of the inputs can read stdin")
-    graph = _load_graph(args.graph, stdin) if args.graph else None
-    text = _read_text(args.coloring, stdin)
-    read = formats._coloring_palettes(text, graph)
+    graph = None
+    graph_text = _read_text(args.graph, stdin) if args.graph else None
+    try:
+        text = _read_text(args.coloring, stdin)
+    except ValueError:
+        if graph_text is not None:  # the graph's errors come first
+            _load_graph(args.graph, stdin, graph_text)
+        raise
+    read, stop = formats._coloring_palettes(text, graph_text)
+    if read is None and graph_text is not None:
+        graph = _load_graph(args.graph, stdin, graph_text)
+        if stop is None:  # the graph text stopped the lockstep: check against the Graph
+            read, stop = formats._coloring_palettes(text, graph)
     if read is not None:  # canonical ascending text with the graph's edges, in range
         del text  # freed before the palettes are checked
         vertex_count, span_t, edge_count, palettes, used = read
         violations, unused = _check_palettes(palettes, used, span_t, ())
     else:
         try:
-            graph, coloring = formats._parse_coloring_lines(text, graph)
+            graph, coloring = formats._parse_coloring_lines(text, graph, stop)
         except formats.FormatError as exc:
             raise ValueError(f"{args.coloring}: {exc}") from None
         violations, unused = _check_interval(graph, coloring)

@@ -24,9 +24,13 @@ chunk and compare the size of their frozenset or dict with the number
 of edge lines decoded; the CLI's ``verify`` (``_coloring_palettes``,
 which keeps only each vertex's colors, in an ``array('Q')``) walks each
 chunk once, requiring the pairs to ascend, checking ids once per row
-and colors once per chunk as it fills the palettes.  Other text, and canonical
-text that fails a check, goes to the parser's line loop, which names
-every error.
+and colors once per chunk as it fills the palettes; a canonical graph
+file's text is read in lockstep, each chunk's pairs against its next
+ones, so no Graph is built.  Other text, and canonical text that fails a
+check, goes to the parser's line loop, which names every error; verify's
+line loop starts at the chunk the reader stopped at, and decodes the
+lines before it into its dict only if a later line's edge is at or below
+their last, or at the end of the text.
 
 Each line loop is one pass over the lines: a shared ``_header`` reads
 the header, then the parser's own loop accepts a well-formed edge line
@@ -49,7 +53,7 @@ from __future__ import annotations
 import json
 import re
 from collections import defaultdict
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import lt
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -156,27 +160,28 @@ _PIECE_PARTS = 1 << 14
 
 
 def _canonical_chunks(
-    text: str, shape: tuple[re.Pattern[str], re.Pattern[str]]
-) -> Iterator[list[int]]:
-    """Yield the two header numbers of canonical `text`, then the numbers of each
-    chunk of whole edge lines (ended by the line that takes it to _CHUNK_CHARS)
-    once its shape holds; raise ValueError at the first chunk that fails.  The
-    numbers are positive; the caller checks ids and colors and rules out
-    duplicates."""
+    text: str, shape: tuple[re.Pattern[str], re.Pattern[str]], until: int | None = None
+) -> Iterator[tuple[int, list[int]]]:
+    """Yield the offset where the header of canonical `text` ends and its two
+    numbers, then for each chunk of whole edge lines before offset `until` (the
+    end of the text), ended by the line that takes it to _CHUNK_CHARS, the offset
+    it ends at and its numbers, once its shape holds; raise ValueError at the
+    first chunk that fails.  The numbers are positive; the caller checks ids and
+    colors and rules out duplicates."""
     header, stray_break = shape
     match = header.match(text)
     if match is None:
         raise ValueError("not canonical")
+    start, until = match.end(), len(text) if until is None else until
     # int raises ValueError past its digit limit, as the json decode does.
-    yield [int(match[1]), int(match[2])]
-    start = match.end()
-    while start < len(text):
-        end = text.find("\n", min(start + _CHUNK_CHARS, len(text)) - 1) + 1 or len(text)
+    yield start, [int(match[1]), int(match[2])]
+    while start < until:
+        end = text.find("\n", min(start + _CHUNK_CHARS, until) - 1) + 1 or until
         if stray_break.search(text, start - 1, end):
             raise ValueError("not canonical")
         # "e 1 2 1\ne 1 3 2\n" -> "[1,2,1,1,3,2\n]": no string is made per token.
         numbers = text[start + 2 : end].replace("\ne ", " ").replace(" ", ",")
-        yield json.loads(f"[{numbers}]")
+        yield end, json.loads(f"[{numbers}]")
         start = end
 
 
@@ -195,9 +200,9 @@ def parse_graph(text: str) -> Graph:
     """Parse a graph file; all malformations raise FormatError."""
     try:
         chunks = _canonical_chunks(text, _GRAPH_SHAPE)
-        vertex_count, edge_count = next(chunks)
+        _, (vertex_count, edge_count) = next(chunks)
         flat: list[int] = []
-        for chunk in chunks:
+        for _, chunk in chunks:
             flat += _in_range(chunk, 2, vertex_count, 0)
         it = iter(flat)
         edges = frozenset(zip(it, it))
@@ -249,48 +254,81 @@ def emit_graph(g: Graph) -> str:
 
 
 def _coloring_palettes(
-    text: str, graph: Graph | None
-) -> tuple[int, int, int, Mapping[int, Sequence[int]], set[int]] | None:
-    """(vertex_count, span_t, edge_count, palettes, used colors) of coloring `text`
-    that parse_coloring_with_graph's bulk path accepts, with ascending edge lines,
-    else None.  Each chunk is walked once: the pairs must ascend (u never drops,
-    v rises within a row), so ids are checked once per row (its first v is above
-    u, its last v at most vertex_count), and each color goes to the array('Q') of
-    both ends (unsigned items append faster) once the chunk's colors are in range."""
+    text: str, graph: Graph | str | None
+) -> tuple[tuple[int, int, int, Mapping[int, Sequence[int]], set[int]] | None,
+           tuple[int, int, int, int, Edge] | None]:
+    """((vertex_count, span_t, edge_count, palettes, used colors), None) of coloring
+    `text` that parse_coloring_with_graph's bulk path accepts, with ascending edge
+    lines, else (None, stop).  `graph` is a Graph, None, or a graph file's text,
+    read in lockstep: each chunk's pairs must be its next ones, and it must end
+    with the coloring, its header counting the edges.
+
+    stop, (vertex_count, span_t, offset, line, last), is where the first chunk
+    not accepted starts; each line before it is canonical and passes the line
+    loop's checks, the last with pair `last` ((0, 0) if none).  It is None if no
+    chunk is read or graph text stopped the lockstep: then the caller parses
+    the graph and calls again with the Graph.
+
+    Each chunk is walked once: the pairs must ascend (u never drops, v rises within
+    a row), so ids are checked once per row (its first v is above u, its last v,
+    as each chunk's last, at most vertex_count), and each color goes to the
+    array('Q') of both ends (unsigned items append faster) once the chunk's colors
+    are in range."""
     from array import array  # a shared library that only verify loads
     palettes: defaultdict[int, array[int]] = defaultdict(lambda: array("Q"))
     used: set[int] = set()
     edge_count = row = last = 0
+    stop = None
     try:
         chunks = _canonical_chunks(text, _COLORING_SHAPE)
-        vertex_count, span_t = next(chunks)
-        if span_t >> 63 or (graph is not None and graph.vertex_count != vertex_count):
-            return None  # every color fits a machine word, signed or not
-        for flat in chunks:
+        start, (vertex_count, span_t) = next(chunks)
+        if span_t >> 63:
+            return None, None  # every color fits a machine word, signed or not
+        pairs: Iterator[int] = iter(())  # the graph text's numbers not yet matched
+        if isinstance(graph, str):
+            graph_chunks = _canonical_chunks(graph, _GRAPH_SHAPE)
+            _, (graph_vertices, graph_edges) = next(graph_chunks)
+            pairs = chain.from_iterable(numbers for _, numbers in graph_chunks)
+        elif graph is not None:
+            graph_vertices, graph_edges = graph.vertex_count, graph.edge_count
+        stop = vertex_count, span_t, start, 2, (0, 0)
+        if graph is not None and graph_vertices != vertex_count:
+            return None, stop
+        for end, flat in chunks:
             cs = flat[2::3]
-            if max(cs) > span_t or (
-                graph is not None and not graph.edges.issuperset(zip(flat[::3], flat[1::3]))
+            if max(cs) > span_t or isinstance(graph, Graph) and not graph.edges.issuperset(
+                zip(flat[::3], flat[1::3])
             ):
-                return None
+                return None, stop
             it = iter(flat)
             for u, v, c in zip(it, it, it):
                 if u == row:
                     if v <= last:
-                        return None
+                        return None, stop
                 elif u > row and v > u and last <= vertex_count:
                     row, append = u, palettes[u].append
                 else:
-                    return None
+                    return None, stop
                 append(c)
                 palettes[v].append(c)
                 last = v
+            if last > vertex_count:
+                return None, stop
+            if isinstance(graph, str):
+                del flat[2::3]
+                try:
+                    if list(islice(pairs, len(flat))) != flat:
+                        return None, None
+                except ValueError:  # the graph text is not canonical
+                    return None, None
             used.update(cs)
             edge_count += len(cs)
+            stop = vertex_count, span_t, end, edge_count + 2, (row, last)
+        if graph is not None and (graph_edges != edge_count or next(pairs, None) is not None):
+            return None, stop  # the line loop names the missing edge, parse_graph a bad count
     except ValueError:  # not canonical
-        return None
-    if last > vertex_count or graph is not None and graph.edge_count != edge_count:
-        return None
-    return vertex_count, span_t, edge_count, palettes, used
+        return None, stop
+    return (vertex_count, span_t, edge_count, palettes, used), None
 
 
 def parse_coloring_with_graph(
@@ -304,11 +342,11 @@ def parse_coloring_with_graph(
     """
     try:
         chunks = _canonical_chunks(text, _COLORING_SHAPE)
-        vertex_count, span_t = next(chunks)
+        _, (vertex_count, span_t) = next(chunks)
         if graph is None or graph.vertex_count == vertex_count:  # else graph-mismatch
             assignment: dict[Edge, int] = {}
             lines = 0  # one triple per edge line
-            for chunk in chunks:
+            for _, chunk in chunks:
                 it = iter(_in_range(chunk, 3, vertex_count, span_t))
                 assignment.update(zip(zip(it, it), it))
                 lines += len(chunk) // 3
@@ -324,11 +362,20 @@ def parse_coloring_with_graph(
 
 
 def _parse_coloring_lines(
-    text: str, graph: Graph | None
+    text: str, graph: Graph | None, stop: tuple[int, int, int, int, Edge] | None = None
 ) -> tuple[Graph, EdgeColoring]:
-    """parse_coloring_with_graph's line loop: any text, naming the first error."""
-    lines = enumerate(text.splitlines(), start=1)
-    header_line, vertex_count, span_t = _header(lines, "c", "span_t")
+    """parse_coloring_with_graph's line loop: any text, naming the first error.
+    Given _coloring_palettes' `stop` for `text` and `graph`, it starts there; the
+    lines before it go to its dict only once a line's edge is at or below their
+    last or the text ends."""
+    if stop is None:
+        lines = enumerate(text.splitlines(), start=1)
+        header_line, vertex_count, span_t = _header(lines, "c", "span_t")
+        top = 0  # the row of the last line before the start, 0 for none
+    else:
+        vertex_count, span_t, offset, lineno, last = stop
+        header_line, lines = 1, enumerate(text[offset:].splitlines(), start=lineno)
+        top = last[0]
     if span_t < 1:
         raise FormatError("malformed-header", "span must be >= 1", header_line)
     if graph is not None and graph.vertex_count != vertex_count:
@@ -350,6 +397,8 @@ def _parse_coloring_lines(
                 i = 0  # fails the range test, so _reject names the bad token
             if 0 < i < j <= vertex_count:
                 edge = (i, j)
+                if i <= top and edge <= last:  # it may repeat a line before the stop
+                    assignment, top = _colors_before(text, offset) | assignment, 0
                 if edge in assignment:
                     raise FormatError(
                         "duplicate-edge", f"duplicate edge {edge}", lineno
@@ -367,6 +416,8 @@ def _parse_coloring_lines(
                 assignment[edge] = color
                 continue
         _reject(tokens, lineno, vertex_count, 3)
+    if top:
+        assignment = _colors_before(text, offset) | assignment
     if graph is None:
         graph = _canonical_graph(vertex_count, frozenset(assignment))
     elif len(assignment) != graph.edge_count:  # every line named a graph edge
@@ -375,6 +426,14 @@ def _parse_coloring_lines(
             "missing-edge", f"graph edge {missing} has no line in the file", header_line
         )
     return graph, _canonical_coloring(assignment, span_t)
+
+
+def _colors_before(text: str, offset: int) -> dict[Edge, int]:
+    """The colors of canonical coloring `text`'s edge lines before `offset`."""
+    chunks = _canonical_chunks(text, _COLORING_SHAPE, offset)
+    next(chunks)
+    it = chain.from_iterable(flat for _, flat in chunks)
+    return dict(zip(zip(it, it), it))
 
 
 def parse_coloring(text: str, graph: Graph | None = None) -> EdgeColoring:

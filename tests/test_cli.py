@@ -24,6 +24,7 @@ from intervalcoloring import (
     graph_from_edges,
     parse_coloring,
     parse_coloring_with_graph,
+    parse_graph,
     verify_interval,
 )
 import intervalcoloring
@@ -230,8 +231,17 @@ def test_verify_listing_is_the_library_report(tmp_path):
 def test_canonical_text_takes_the_column_path(monkeypatch, tmp_path):
     # Canonical text is read in chunks into per-vertex palettes: neither
     # parser, nor the object checker, is called for a PASS or a FAIL.
+    # A graph file that is not emit_graph text (its edge lines reversed, or a
+    # comment line past its first chunk) is parsed, and the chunks are checked
+    # against the Graph.
     _, text, _ = run_cli(["construct", "--n", "60"])
-    (tmp_path / "k120.graph").write_text(emit_graph(complete_graph(120)))
+    graph_text = emit_graph(complete_graph(120))
+    (tmp_path / "k120.graph").write_text(graph_text)
+    header, *edge_lines = graph_text.splitlines(keepends=True)
+    (tmp_path / "k120r.graph").write_text(header + "".join(edge_lines[::-1]))
+    (tmp_path / "k120c.graph").write_text(
+        header + "".join(edge_lines[:5000] + ["# a comment\n"] + edge_lines[5000:])
+    )
     lines = text.split("\n")
     assert lines[1:3] == ["e 1 2 1", "e 1 3 2"]  # adjacent at vertex 1
     not_proper = "\n".join([lines[0], lines[1], "e 1 3 1", *lines[3:]])
@@ -249,8 +259,8 @@ def test_canonical_text_takes_the_column_path(monkeypatch, tmp_path):
     monkeypatch.setattr(cli_module, "_check_interval", refuse)
     pass_line = "PASS: interval coloring of 120 vertices, span 178, 7140 edges\n"
     assert run_cli(["verify", "-"], text) == (0, pass_line, "")
-    argv = ["verify", "-", "--graph", str(tmp_path / "k120.graph")]
-    assert run_cli(argv, text) == (0, pass_line, "")
+    for name in ("k120.graph", "k120r.graph", "k120c.graph"):
+        assert run_cli(["verify", "-", "--graph", str(tmp_path / name)], text) == (0, pass_line, "")
     for edited, want in expected.items():
         assert run_cli(["verify", "-"], edited) == want
 
@@ -284,6 +294,25 @@ def test_verify_peak_memory_is_the_text_and_the_palettes():
     assert (code, err.getvalue()) == (0, "")
     assert out.getvalue() == "PASS: interval coloring of 400 vertices, span 598, 79800 edges\n"
     assert peak < 4 << 20
+
+
+def test_verify_graph_peak_memory_is_the_texts_and_the_palettes(tmp_path):
+    # The K_400 graph file is read in lockstep with the coloring, so no
+    # edge set is built: the peak is the two texts, the palettes and a few
+    # chunks (13.7 MiB when the graph was parsed into a frozenset).
+    _, text, _ = run_cli(["construct", "--n", "200"])
+    graph_path = tmp_path / "k400.graph"
+    graph_path.write_text(emit_graph(complete_graph(400)))
+    stdin, out, err = io.StringIO(text), io.StringIO(), io.StringIO()
+    tracemalloc.start()
+    try:
+        code = run(["verify", "-", "--graph", str(graph_path)], stdin=stdin, stdout=out, stderr=err)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, err.getvalue()) == (0, "")
+    assert out.getvalue() == "PASS: interval coloring of 400 vertices, span 598, 79800 edges\n"
+    assert peak < 5 << 20
 
 
 def _line_loop_verdict(text, graph=None):
@@ -343,6 +372,11 @@ def test_chunked_verify_is_the_line_loop_across_chunk_boundaries(monkeypatch, tm
     )
     _, u, _, uc = lines[r].split()
     _, p, _, pc = lines[r - 1].split()
+    # A chunk's last line with a two-digit j, so an id of 81 moves no cut.
+    e = next(e for e in chunk_ends(lines) if e > 80 and len(lines[e].split()[2]) == 2)
+    _, ei, _, ec = lines[e].split()
+    _, fi, fj, _ = lines[e + 1].split()
+    _, i_k, j_k, _ = lines[k].split()
 
     # Row 1 ends at lines[78], row 2 starts at lines[79].
     assert lines[78].startswith("e 1 80 ") and lines[79].startswith("e 2 3 ")
@@ -369,31 +403,90 @@ def test_chunked_verify_is_the_line_loop_across_chunk_boundaries(monkeypatch, tm
         (body(lines[d:]), None, True),
         (body(lines[d:r] + [f"e {u} {u} {uc}\n"] + lines[r + 1 :]), None, False),
         (body(lines[d : r - 1] + [f"e {p} 81 {pc}\n"] + lines[r:]), None, False),
+        # Where the reader stops, the line loop resumes; each case needs the lines
+        # before the stop.  The stop's first line repeats the last accepted pair
+        # with another color; an id past |V| on a chunk's last line comes before a
+        # bad token in the next chunk; a line below the stop repeats line 2; and
+        # line 2 moved past the stop repeats nothing, as is (PASS) or with its
+        # color changed (FAIL: not proper at 1); and a comment line is the
+        # stop, with no edge line below it after.
+        (body(lines[: k + 1] + [lines[k].rsplit(" ", 1)[0] + " 1\n"] + lines[k + 1 :]),
+         None, False),
+        (body(lines[:e] + [f"e {ei} 81 {ec}\n", f"e {fi} {fj} x\n"] + lines[e + 2 :]),
+         None, False),
+        (body(lines[: k + 2] + [lines[0]] + lines[k + 2 :]), None, False),
+        (body(lines[1 : k + 2] + [lines[0]] + lines[k + 2 :]), None, False),
+        (body(lines[1 : k + 2] + ["e 1 2 2\n"] + lines[k + 2 :]), None, False),
+        (body(lines[: k + 1] + ["# a comment\n"] + lines[k + 1 :]), None, False),
     ]
     for edited, graph, accepted in cases:
-        assert (coloring_io._coloring_palettes(edited, graph) is not None) == accepted
+        assert (coloring_io._coloring_palettes(edited, graph)[0] is not None) == accepted
         argv = ["verify", "-"]
         if graph is not None:
             (tmp_path / "g.graph").write_text(emit_graph(graph))
             argv += ["--graph", str(tmp_path / "g.graph")]
         assert run_cli(argv, edited) == _line_loop_verdict(edited, graph)
+    # What the line loop names in the resumed cases.
+    repeat_p, past, repeat_2, moved, not_proper, comment = [
+        _line_loop_verdict(t) for t, _, _ in cases[-6:]
+    ]
+    assert repeat_p[2] == f"error: -: line {k + 3}: duplicate edge ({i_k}, {j_k})\n"
+    assert past[2] == f"error: -: line {e + 2}: vertex ids ({ei}, 81) out of range 1..80\n"
+    assert repeat_2[2] == f"error: -: line {k + 4}: duplicate edge (1, 2)\n"
+    assert (moved[0], not_proper[0]) == (0, 1)
+    assert comment == _line_loop_verdict(text)
+
+
+def test_the_line_loop_resumes_where_the_chunk_reader_stopped(monkeypatch):
+    # With the header reader gone, a bad token on the last line is still
+    # named: the line loop starts at the chunk the reader did not accept.
+    _, text, _ = run_cli(["construct", "--n", "100"])
+    edited = text[: text.rindex(" ") + 1] + "x\n"
+    assert edited.endswith("\ne 199 200 x\n")
+
+    def refuse(*args):
+        raise AssertionError("the line loop read the header")
+
+    monkeypatch.setattr(coloring_io, "_header", refuse)
+    assert run_cli(["verify", "-"], edited) == (
+        2, "", "error: -: line 19901: edge field must be an integer, got 'x'\n"
+    )
+
+
+def _graph_files(graph, at):
+    """The emit_graph text of `graph`, then graph files that are not: its edge
+    lines reversed, one repeated, one missing (both at edge line `at`), its
+    count off by one, and a comment line before edge line `at`."""
+    header, *lines = emit_graph(graph).splitlines(keepends=True)
+    k = at % (len(lines) + 1)
+    count = f"p {graph.vertex_count} {graph.edge_count + 1 - 2 * (at % 2)}\n"
+    return [header + "".join(edited) for edited in (
+        lines, lines[::-1], lines[: k + 1] + lines[k:], lines[:k] + lines[k + 1 :]
+    )] + [count + "".join(lines), header + "".join(lines[:k] + ["# e 1 2\n"] + lines[k:])]
 
 
 @settings(max_examples=500, deadline=None)
-@given(mutated_coloring_files())
-def test_chunked_verify_is_the_line_loop_on_mutated_files(tmp_path_factory, case):
+@given(mutated_coloring_files(), st.integers(0, 100))
+def test_chunked_verify_is_the_line_loop_on_mutated_files(tmp_path_factory, case, at):
     # An edge line has at least 8 chars, so at sizes 1 and 7 each line is a
-    # chunk, and at 16 each chunk holds two.
+    # chunk, and at 16 each chunk holds two.  A graph file is read in lockstep
+    # when it is emit_graph text, else parsed; the oracle parses it.
     text, graph = case
-    graph_path = tmp_path_factory.getbasetemp() / "mutated.graph"
-    argvs = [(["verify", "-"], None)]
-    if graph is not None:
-        graph_path.write_text(emit_graph(graph))
-        argvs.append((["verify", "-", "--graph", str(graph_path)], graph))
-    for size in (coloring_io._CHUNK_CHARS, 1, 7, 16):
-        with patch.object(coloring_io, "_CHUNK_CHARS", size):
-            for argv, given_graph in argvs:
-                assert run_cli(argv, text) == _line_loop_verdict(text, given_graph), size
+    graph_path = str(tmp_path_factory.getbasetemp() / "mutated.graph")
+    runs = [(["verify", "-"], None, _line_loop_verdict(text))]
+    for graph_text in _graph_files(graph, at) if graph is not None else ():
+        try:
+            expected = _line_loop_verdict(text, parse_graph(graph_text))
+        except FormatError as exc:
+            expected = (2, "", f"error: {graph_path}: {exc}\n")
+        runs.append((["verify", "-", "--graph", graph_path], graph_text, expected))
+    for argv, graph_text, expected in runs:
+        if graph_text is not None:
+            with open(graph_path, "w") as fh:
+                fh.write(graph_text)
+        for size in (coloring_io._CHUNK_CHARS, 1, 7, 16):
+            with patch.object(coloring_io, "_CHUNK_CHARS", size):
+                assert run_cli(argv, text) == expected, (size, graph_text)
 
 
 def test_a_color_past_a_machine_word_never_reaches_an_array(monkeypatch):
@@ -407,7 +500,7 @@ def test_a_color_past_a_machine_word_never_reaches_an_array(monkeypatch):
     # Colors of 2**63 and 2**66 in text the chunk reader would otherwise take.
     for color in (1 << 63, 1 << 66):
         wide = f"c 3 {1 << 66}\ne 1 2 {color}\ne 1 3 1\n"
-        assert coloring_io._coloring_palettes(wide, None) is None
+        assert coloring_io._coloring_palettes(wide, None) == (None, None)
 
 
 def test_verify_against_graph_file(tmp_path):
@@ -452,6 +545,30 @@ def test_missing_file_is_usage_error():
     code, _, err = run_cli(["verify", "/nonexistent/file"])
     assert code == 2
     assert "cannot read" in err
+
+
+def test_verify_names_a_bad_graph_file_before_the_coloring(tmp_path):
+    # The K_240 graph file without its line 20000: its error comes first,
+    # whether the coloring is missing, canonical or bad on a later line.
+    lines = emit_graph(complete_graph(240)).splitlines(keepends=True)
+    graph_path = tmp_path / "k240.graph"
+    graph_path.write_text("".join(lines[:19999] + lines[20000:]))
+    error = f"error: {graph_path}: line 1: header declares 28680 edges but file has 28679\n"
+    _, text, _ = run_cli(["construct", "--n", "120"])
+    lines = text.splitlines(keepends=True)
+    bad_line = "".join(lines[:24999] + [lines[24999].rsplit(" ", 1)[0] + " 999\n"] + lines[25000:])
+    for name, content in [("missing", None), ("good", text), ("bad", bad_line)]:
+        path = tmp_path / f"{name}.coloring"
+        if content is not None:
+            path.write_text(content)
+        assert run_cli(["verify", str(path), "--graph", str(graph_path)]) == (2, "", error)
+    # With the graph file whole, the coloring's errors are its own.
+    graph_path.write_text(emit_graph(complete_graph(240)))
+    code, _, err = run_cli(["verify", str(tmp_path / "missing.coloring"), "--graph", str(graph_path)])
+    assert code == 2 and err.startswith(f"error: cannot read {tmp_path / 'missing.coloring'}:")
+    assert run_cli(["verify", str(tmp_path / "bad.coloring"), "--graph", str(graph_path)]) == (
+        2, "", f"error: {tmp_path / 'bad.coloring'}: line 25000: color 999 outside 1..358\n"
+    )
 
 
 @pytest.mark.parametrize("command", [["verify"], ["search", "--t", "1"]])
