@@ -53,10 +53,8 @@ def _entry(name: str, formula: str, value: int, applies: bool, reason: str) -> B
 
 def span_cap(g: Graph, t_cap: int) -> int:
     """t_cap tightened by the refined and general bounds, not the triangle-free one."""
-    m = g.vertex_count
-    if m >= 3:  # refined, 2|V|-4, which is below general
-        return min(t_cap, 2 * m - 4)
-    return min(t_cap, 2 * m - 3) if g.edge_count else t_cap
+    cap = _report(g.vertex_count, g.edge_count, False).best_upper
+    return t_cap if cap is None else min(t_cap, cap)
 
 
 # The lower bounds hold for K_2n only, where |V| = 2n.

@@ -6,11 +6,12 @@ failed (verification FAIL, or a requested coloring was not found), 2
 usage or input errors, 141 (the shell's SIGPIPE status) when stdout is
 closed early, with no traceback.  ``verify`` reads canonical text with
 ascending edge lines in chunks into per-vertex palettes, with no graph
-or coloring object, a canonical ``--graph`` file in lockstep with it,
-and other text as the line loop parses it, from the chunk the reader
-stopped at; both report as ``verify_interval``.  A graph file that does
-not parse is named before any error of the coloring file.  ``construct``
-writes its text in pieces.
+or coloring object, and a ``--graph`` file as ``emit_graph`` writes it
+in lockstep.  Other text, a graph file ``emit_graph`` did not write
+included, stops the reader: the graph file is parsed, and the line loop
+reads the coloring from the chunk it stopped at; both report as
+``verify_interval``.  A graph file that does not parse is named before
+any error of the coloring file.  ``construct`` writes its text in pieces.
 
 Each subcommand is declared once, in ``_COMMANDS``.  Canonical argv is
 read from that table directly; argparse, built from it for other argv
@@ -109,8 +110,6 @@ def _cmd_verify(args: argparse.Namespace, stdout: TextIO, stdin: TextIO) -> int:
     read, stop = formats._coloring_palettes(text, graph_text)
     if read is None and graph_text is not None:
         graph = _load_graph(args.graph, stdin, graph_text)
-        if stop is None:  # the graph text stopped the lockstep: check against the Graph
-            read, stop = formats._coloring_palettes(text, graph)
     if read is not None:  # canonical ascending text with the graph's edges, in range
         del text  # freed before the palettes are checked
         vertex_count, span_t, edge_count, palettes, used = read

@@ -46,14 +46,14 @@ class Violation(NamedTuple):
         return f"{self.kind.value} at {', '.join(where)}"
 
 
-@dataclass(frozen=True)
-class IntervalReport:
-    verdict: bool
-    violations: tuple[Violation, ...] = ()
+class IntervalReport(NamedTuple):
+    """verify_interval's findings; the coloring is interval exactly when there are none."""
 
-    def __post_init__(self) -> None:
-        if self.verdict != (not self.violations):
-            raise ValueError("verdict must be true exactly when violations is empty")
+    violations: tuple[Violation, ...]
+
+    @property
+    def verdict(self) -> bool:
+        return not self.violations
 
     def __bool__(self) -> bool:
         return self.verdict
@@ -203,4 +203,4 @@ def verify_interval(g: Graph, coloring: EdgeColoring) -> IntervalReport:
         for lo, hi in unused
         for c in range(lo, hi + 1)
     )
-    return IntervalReport(not violations, tuple(violations))
+    return IntervalReport(tuple(violations))

@@ -27,10 +27,12 @@ chunk once, requiring the pairs to ascend, checking ids once per row
 and colors once per chunk as it fills the palettes; a canonical graph
 file's text is read in lockstep, each chunk's pairs against its next
 ones, so no Graph is built.  Other text, and canonical text that fails a
-check, goes to the parser's line loop, which names every error; verify's
-line loop starts at the chunk the reader stopped at, and decodes the
-lines before it into its dict only if a later line's edge is at or below
-their last, or at the end of the text.
+check, goes to the parser's line loop, which names every error.  Where
+verify's reader stops, at a chunk of either text, every coloring line
+before the chunk is a graph edge, given once, so verify's line loop
+starts there against the parsed Graph, and decodes the lines before it
+into its dict only if a later line's edge is at or below their last, or
+at the end of the text.
 
 Each line loop is one pass over the lines: a shared ``_header`` reads
 the header, then the parser's own loop accepts a well-formed edge line
@@ -254,20 +256,20 @@ def emit_graph(g: Graph) -> str:
 
 
 def _coloring_palettes(
-    text: str, graph: Graph | str | None
+    text: str, graph_text: str | None
 ) -> tuple[tuple[int, int, int, Mapping[int, Sequence[int]], set[int]] | None,
            tuple[int, int, int, int, Edge] | None]:
     """((vertex_count, span_t, edge_count, palettes, used colors), None) of coloring
     `text` that parse_coloring_with_graph's bulk path accepts, with ascending edge
-    lines, else (None, stop).  `graph` is a Graph, None, or a graph file's text,
-    read in lockstep: each chunk's pairs must be its next ones, and it must end
-    with the coloring, its header counting the edges.
+    lines, else (None, stop).  `graph_text`, a graph file's text or None, is read
+    in lockstep: each chunk's pairs must be its next ones, and it must end with
+    the coloring, its header counting the edges.
 
     stop, (vertex_count, span_t, offset, line, last), is where the first chunk
-    not accepted starts; each line before it is canonical and passes the line
-    loop's checks, the last with pair `last` ((0, 0) if none).  It is None if no
-    chunk is read or graph text stopped the lockstep: then the caller parses
-    the graph and calls again with the Graph.
+    not accepted starts; each line before it is canonical, passes the line loop's
+    checks and, with `graph_text`, is the graph text's next edge line, the last
+    with pair `last` ((0, 0) if none).  It is None only if the coloring's header
+    is not canonical or its span reaches 2**63.
 
     Each chunk is walked once: the pairs must ascend (u never drops, v rises within
     a row), so ids are checked once per row (its first v is above u, its last v,
@@ -284,21 +286,16 @@ def _coloring_palettes(
         start, (vertex_count, span_t) = next(chunks)
         if span_t >> 63:
             return None, None  # every color fits a machine word, signed or not
-        pairs: Iterator[int] = iter(())  # the graph text's numbers not yet matched
-        if isinstance(graph, str):
-            graph_chunks = _canonical_chunks(graph, _GRAPH_SHAPE)
+        stop = vertex_count, span_t, start, 2, (0, 0)
+        if graph_text is not None:
+            graph_chunks = _canonical_chunks(graph_text, _GRAPH_SHAPE)
             _, (graph_vertices, graph_edges) = next(graph_chunks)
             pairs = chain.from_iterable(numbers for _, numbers in graph_chunks)
-        elif graph is not None:
-            graph_vertices, graph_edges = graph.vertex_count, graph.edge_count
-        stop = vertex_count, span_t, start, 2, (0, 0)
-        if graph is not None and graph_vertices != vertex_count:
-            return None, stop
+            if graph_vertices != vertex_count:
+                return None, stop
         for end, flat in chunks:
             cs = flat[2::3]
-            if max(cs) > span_t or isinstance(graph, Graph) and not graph.edges.issuperset(
-                zip(flat[::3], flat[1::3])
-            ):
+            if max(cs) > span_t:
                 return None, stop
             it = iter(flat)
             for u, v, c in zip(it, it, it):
@@ -314,19 +311,16 @@ def _coloring_palettes(
                 last = v
             if last > vertex_count:
                 return None, stop
-            if isinstance(graph, str):
+            if graph_text is not None:
                 del flat[2::3]
-                try:
-                    if list(islice(pairs, len(flat))) != flat:
-                        return None, None
-                except ValueError:  # the graph text is not canonical
-                    return None, None
+                if list(islice(pairs, len(flat))) != flat:
+                    return None, stop
             used.update(cs)
             edge_count += len(cs)
             stop = vertex_count, span_t, end, edge_count + 2, (row, last)
-        if graph is not None and (graph_edges != edge_count or next(pairs, None) is not None):
+        if graph_text is not None and (graph_edges != edge_count or next(pairs, None) is not None):
             return None, stop  # the line loop names the missing edge, parse_graph a bad count
-    except ValueError:  # not canonical
+    except ValueError:  # not canonical, the graph text included
         return None, stop
     return (vertex_count, span_t, edge_count, palettes, used), None
 
@@ -365,9 +359,9 @@ def _parse_coloring_lines(
     text: str, graph: Graph | None, stop: tuple[int, int, int, int, Edge] | None = None
 ) -> tuple[Graph, EdgeColoring]:
     """parse_coloring_with_graph's line loop: any text, naming the first error.
-    Given _coloring_palettes' `stop` for `text` and `graph`, it starts there; the
-    lines before it go to its dict only once a line's edge is at or below their
-    last or the text ends."""
+    Given _coloring_palettes' `stop` for `text` and the text `graph` was parsed
+    from, it starts there; the lines before it go to its dict only once a line's
+    edge is at or below their last or the text ends."""
     if stop is None:
         lines = enumerate(text.splitlines(), start=1)
         header_line, vertex_count, span_t = _header(lines, "c", "span_t")

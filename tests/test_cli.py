@@ -230,10 +230,11 @@ def test_verify_listing_is_the_library_report(tmp_path):
 
 def test_canonical_text_takes_the_column_path(monkeypatch, tmp_path):
     # Canonical text is read in chunks into per-vertex palettes: neither
-    # parser, nor the object checker, is called for a PASS or a FAIL.
-    # A graph file that is not emit_graph text (its edge lines reversed, or a
-    # comment line past its first chunk) is parsed, and the chunks are checked
-    # against the Graph.
+    # parser, nor the object checker, is called for a PASS or a FAIL, and an
+    # emit_graph file is read in lockstep.  A graph file that is not emit_graph
+    # text (its edge lines reversed, or a comment line past its first chunk) is
+    # parsed, and the coloring goes to the line loop from where the reader
+    # stopped: it still passes.
     _, text, _ = run_cli(["construct", "--n", "60"])
     graph_text = emit_graph(complete_graph(120))
     (tmp_path / "k120.graph").write_text(graph_text)
@@ -249,6 +250,9 @@ def test_canonical_text_takes_the_column_path(monkeypatch, tmp_path):
     raised = "c 120 183" + text[len(lines[0]):]
     expected = {t: _library_verdict(t)[0] for t in (not_proper, raised)}
     assert all(code == 1 for code, _, _ in expected.values())
+    pass_line = "PASS: interval coloring of 120 vertices, span 178, 7140 edges\n"
+    for name in ("k120r.graph", "k120c.graph"):
+        assert run_cli(["verify", "-", "--graph", str(tmp_path / name)], text) == (0, pass_line, "")
 
     def refuse(*args):
         raise AssertionError("canonical text left the column path")
@@ -257,10 +261,10 @@ def test_canonical_text_takes_the_column_path(monkeypatch, tmp_path):
     monkeypatch.setattr(coloring_io, "parse_coloring_with_graph", refuse)
     monkeypatch.setattr(coloring_module, "_check_interval", refuse)
     monkeypatch.setattr(cli_module, "_check_interval", refuse)
-    pass_line = "PASS: interval coloring of 120 vertices, span 178, 7140 edges\n"
     assert run_cli(["verify", "-"], text) == (0, pass_line, "")
-    for name in ("k120.graph", "k120r.graph", "k120c.graph"):
-        assert run_cli(["verify", "-", "--graph", str(tmp_path / name)], text) == (0, pass_line, "")
+    assert run_cli(["verify", "-", "--graph", str(tmp_path / "k120.graph")], text) == (
+        0, pass_line, ""
+    )
     for edited, want in expected.items():
         assert run_cli(["verify", "-"], edited) == want
 
@@ -420,10 +424,11 @@ def test_chunked_verify_is_the_line_loop_across_chunk_boundaries(monkeypatch, tm
         (body(lines[: k + 1] + ["# a comment\n"] + lines[k + 1 :]), None, False),
     ]
     for edited, graph, accepted in cases:
-        assert (coloring_io._coloring_palettes(edited, graph)[0] is not None) == accepted
+        graph_text = None if graph is None else emit_graph(graph)
+        assert (coloring_io._coloring_palettes(edited, graph_text)[0] is not None) == accepted
         argv = ["verify", "-"]
         if graph is not None:
-            (tmp_path / "g.graph").write_text(emit_graph(graph))
+            (tmp_path / "g.graph").write_text(graph_text)
             argv += ["--graph", str(tmp_path / "g.graph")]
         assert run_cli(argv, edited) == _line_loop_verdict(edited, graph)
     # What the line loop names in the resumed cases.
@@ -451,6 +456,34 @@ def test_the_line_loop_resumes_where_the_chunk_reader_stopped(monkeypatch):
     assert run_cli(["verify", "-"], edited) == (
         2, "", "error: -: line 19901: edge field must be an integer, got 'x'\n"
     )
+
+
+def test_verify_reads_the_coloring_in_bulk_once(monkeypatch, tmp_path):
+    # A lockstep stop, at a coloring line the graph text does not match or at
+    # a graph file emit_graph did not write, goes to the line loop from the
+    # stop: the chunk reader runs once per command.
+    _, text, _ = run_cli(["construct", "--n", "60"])
+    graph_text = emit_graph(complete_graph(120))
+    header, *lines = text.splitlines(keepends=True)
+    missing = header + "".join(lines[:5000] + lines[5001:])
+    assert 5000 * len(lines[0]) > coloring_io._CHUNK_CHARS  # past the first chunk
+    graph_header, *edge_lines = graph_text.splitlines(keepends=True)
+    reversed_graph = graph_header + "".join(edge_lines[::-1])
+    calls = []
+    bulk = coloring_io._coloring_palettes
+
+    def counted(*args):
+        calls.append(args)
+        return bulk(*args)
+
+    monkeypatch.setattr(coloring_io, "_coloring_palettes", counted)
+    for coloring_text, graph_file, code in ((missing, graph_text, 2), (text, reversed_graph, 0)):
+        (tmp_path / "g.graph").write_text(graph_file)
+        calls.clear()
+        verdict = run_cli(["verify", "-", "--graph", str(tmp_path / "g.graph")], coloring_text)
+        assert len(calls) == 1
+        assert verdict == _line_loop_verdict(coloring_text, parse_graph(graph_file))
+        assert verdict[0] == code
 
 
 def _graph_files(graph, at):

@@ -243,13 +243,6 @@ def test_duplicate_color_flips_verdict():
     )
 
 
-def test_report_invariant_enforced():
-    from intervalcoloring import IntervalReport, Violation
-
-    with pytest.raises(ValueError):
-        IntervalReport(True, (Violation(ViolationKind.COLOR_UNUSED, color=1),))
-
-
 @pytest.mark.parametrize("n", range(1, 9))
 def test_passing_palettes_span_equals_degree(n):
     g = complete_graph(2 * n)

@@ -1,4 +1,4 @@
-"""The seven result records: construction by keyword with defaults,
+"""The eight result records: construction by keyword with defaults,
 repr, equality and hash, read-only fields, and tuple behaviour."""
 
 import pytest
@@ -7,6 +7,7 @@ from intervalcoloring import (
     BoundEntry,
     BoundsReport,
     CaseStats,
+    IntervalReport,
     MaxSpanResult,
     ProbeRecord,
     SearchOutcome,
@@ -15,6 +16,7 @@ from intervalcoloring import (
     ViolationKind,
 )
 
+_UNUSED = Violation(kind=ViolationKind.COLOR_UNUSED, color=1)
 _GENERAL = BoundEntry(name="general", formula="2|V|-3", value=None, applicable=False)
 _PROBE = ProbeRecord(t=8, status=SearchStatus.EXHAUSTED_NO_SOLUTION, nodes_explored=14)
 
@@ -26,6 +28,13 @@ RECORDS = {
         Violation(kind=ViolationKind.NOT_PROPER, vertex=4),
         "vertex",
         "Violation(kind=<ViolationKind.NOT_PROPER: 'not-proper'>, vertex=3, edge=None, color=None)",
+    ),
+    "IntervalReport": (
+        lambda: IntervalReport(violations=(_UNUSED,)),
+        IntervalReport(violations=()),
+        "violations",
+        "IntervalReport(violations=(Violation(kind=<ViolationKind.COLOR_UNUSED: "
+        "'color-unused'>, vertex=None, edge=None, color=1),))",
     ),
     "BoundEntry": (
         lambda: BoundEntry(name="general", formula="2|V|-3", value=None, applicable=False),
@@ -99,3 +108,10 @@ def test_records_are_tuples(name):
     assert record[0] is getattr(record, fields[0])
     changed = record._replace(**{f: getattr(other, f) for f in fields})
     assert changed == other and changed != record
+
+
+def test_interval_report_passes_exactly_when_it_has_no_violations():
+    # verdict and truth are read from violations, so no report disagrees.
+    for violations in ((), (_UNUSED,)):
+        report = IntervalReport(violations)
+        assert report.verdict is bool(report) is (not violations)
