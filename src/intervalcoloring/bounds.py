@@ -4,7 +4,8 @@ The *maximum span* of an interval-colorable graph is the largest t for
 which it has an interval coloring with colors 1..t.  Every value comes
 from three invariants, (|V|, |E|, triangle-free), so K_2n reports are
 O(1): no graph is built.  ``_report`` writes each bound's `BoundEntry`
-once, from those invariants; reports list every bound with its
+once, from those invariants, the upper ones through ``_upper``, which
+``span_cap`` reads alone; reports list every bound with its
 applicability, so an aggregate view always renders, and a single bound
 is read from its entry of `bounds_for_k2n` or `bounds_for_graph`
 (`value` is None where the bound does not apply).  Both records are
@@ -35,13 +36,11 @@ class BoundsReport(NamedTuple):
 
     @property
     def best_lower(self) -> int | None:
-        values = [e.value for e in self.lower if e.applicable]
-        return max(values) if values else None
+        return max((e.value for e in self.lower if e.applicable), default=None)
 
     @property
     def best_upper(self) -> int | None:
-        values = [e.value for e in self.upper if e.applicable]
-        return min(values) if values else None
+        return min((e.value for e in self.upper if e.applicable), default=None)
 
 
 def _entry(name: str, formula: str, value: int, applies: bool, reason: str) -> BoundEntry:
@@ -51,10 +50,19 @@ def _entry(name: str, formula: str, value: int, applies: bool, reason: str) -> B
     return BoundEntry(name, formula, None, False, reason)
 
 
+def _upper(m: int, edge_count: int, triangle_free: bool) -> tuple[BoundEntry, ...]:
+    """The upper bounds' entries for m vertices, for _report and span_cap."""
+    return (
+        _entry("refined", "2|V|-4", 2 * m - 4, m >= 3, "requires |V| >= 3"),
+        _entry("general", "2|V|-3", 2 * m - 3, edge_count > 0, "requires at least one edge"),
+        _entry("triangle-free", "|V|-1", m - 1, triangle_free, "graph contains a triangle"),
+    )
+
+
 def span_cap(g: Graph, t_cap: int) -> int:
     """t_cap tightened by the refined and general bounds, not the triangle-free one."""
-    cap = _report(g.vertex_count, g.edge_count, False).best_upper
-    return t_cap if cap is None else min(t_cap, cap)
+    caps = [e.value for e in _upper(g.vertex_count, g.edge_count, False) if e.applicable]
+    return min([t_cap, *caps])
 
 
 # The lower bounds hold for K_2n only, where |V| = 2n.
@@ -71,11 +79,7 @@ def _report(vertex_count: int, edge_count: int, triangle_free: bool) -> BoundsRe
             _entry("log2", "2n-1+floor(log2(2n-1))", m - 1 + (m - 1).bit_length() - 1,
                    k2n, _EVEN_COMPLETE),
         ),
-        (
-            _entry("refined", "2|V|-4", 2 * m - 4, m >= 3, "requires |V| >= 3"),
-            _entry("general", "2|V|-3", 2 * m - 3, edge_count > 0, "requires at least one edge"),
-            _entry("triangle-free", "|V|-1", m - 1, triangle_free, "graph contains a triangle"),
-        ),
+        _upper(m, edge_count, triangle_free),
     )
 
 

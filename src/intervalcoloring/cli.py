@@ -4,13 +4,13 @@ Subcommands: construct, verify, bounds, search, cases.  Every command
 is deterministic.  Exit codes: 0 success / verified / found, 1 a check
 failed (verification FAIL, or a requested coloring was not found), 2
 usage or input errors, 141 (the shell's SIGPIPE status) when stdout is
-closed early, with no traceback.  ``verify`` reads canonical text with
-ascending edge lines in chunks into per-vertex palettes, with no graph
-or coloring object, and a ``--graph`` file as ``emit_graph`` writes it
-in lockstep.  Other text, a graph file ``emit_graph`` did not write
-included, stops the reader: the graph file is parsed, and the line loop
-reads the coloring from the chunk it stopped at; both report as
-``verify_interval``.  A graph file that does not parse is named before
+closed early, with no traceback.  ``verify`` gets each vertex's colors
+from one ``io._coloring_palettes`` call, with no graph or coloring
+object, and checks them with ``verify_interval``'s ``_check_palettes``.
+io reads canonical text with ascending edge lines in chunks, and a
+``--graph`` file as ``emit_graph`` writes it in lockstep; other text
+stops that reader, and io parses the graph file and reads the coloring
+on with its line loop.  A graph file that does not parse is named before
 any error of the coloring file.  ``construct`` writes its text in pieces.
 
 Each subcommand is declared once, in ``_COMMANDS``.  Canonical argv is
@@ -27,12 +27,12 @@ import os
 import select
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from functools import cache
+from functools import cache, partial
 from typing import Callable, Iterable, NamedTuple, TextIO
 
 from . import bounds as bounds_mod
 from . import io as formats
-from .coloring import _check_interval, _check_palettes, _fail_listing
+from .coloring import _check_palettes, _fail_listing
 from .construction import _runs, case_statistics
 from .graph import Graph
 from .search import (
@@ -99,28 +99,22 @@ def _cmd_construct(args: argparse.Namespace, stdout: TextIO, stdin: TextIO) -> i
 def _cmd_verify(args: argparse.Namespace, stdout: TextIO, stdin: TextIO) -> int:
     if args.coloring == "-" and args.graph == "-":
         raise ValueError("only one of the inputs can read stdin")
-    graph = None
     graph_text = _read_text(args.graph, stdin) if args.graph else None
+    load_graph = partial(_load_graph, args.graph, stdin, graph_text)
     try:
         text = _read_text(args.coloring, stdin)
     except ValueError:
         if graph_text is not None:  # the graph's errors come first
-            _load_graph(args.graph, stdin, graph_text)
+            load_graph()
         raise
-    read, stop = formats._coloring_palettes(text, graph_text)
-    if read is None and graph_text is not None:
-        graph = _load_graph(args.graph, stdin, graph_text)
-    if read is not None:  # canonical ascending text with the graph's edges, in range
-        del text  # freed before the palettes are checked
-        vertex_count, span_t, edge_count, palettes, used = read
-        violations, unused = _check_palettes(palettes, used, span_t, ())
-    else:
-        try:
-            graph, coloring = formats._parse_coloring_lines(text, graph, stop)
-        except formats.FormatError as exc:
-            raise ValueError(f"{args.coloring}: {exc}") from None
-        violations, unused = _check_interval(graph, coloring)
-        vertex_count, span_t, edge_count = graph.vertex_count, coloring.span_t, graph.edge_count
+    try:
+        vertex_count, span_t, edge_count, palettes, used = formats._coloring_palettes(
+            text, graph_text, load_graph
+        )
+    except formats.FormatError as exc:  # the graph's errors are ValueErrors naming it
+        raise ValueError(f"{args.coloring}: {exc}") from None
+    del text  # freed before the palettes are checked
+    violations, unused = _check_palettes(palettes, used, span_t, ())
     if not violations and not unused:
         stdout.write(
             f"PASS: interval coloring of {vertex_count} vertices, "

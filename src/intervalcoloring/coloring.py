@@ -100,32 +100,13 @@ def _canonical_coloring(assignment: dict[Edge, int], span_t: int) -> EdgeColorin
     return c
 
 
-def _check_interval(
-    g: Graph, coloring: EdgeColoring
-) -> tuple[list[Violation], list[tuple[int, int]]]:
-    """Every violation but color-unused, and the unused colors as runs: the
-    edge-set and color-range checks, then _check_palettes on the colored edges."""
-    t, assignment = coloring.span_t, coloring.assignment
-    uncolored = sorted(g.edges - assignment.keys())
-    incomplete = {x for e in uncolored for x in e}
-    violations = [Violation(ViolationKind.EDGE_UNCOLORED, edge=e) for e in uncolored]
-    violations += [
-        Violation(ViolationKind.EDGE_UNKNOWN, edge=e) for e in sorted(assignment.keys() - g.edges)
-    ]
-    edges = g.edges & assignment.keys() if violations else assignment.keys()
-    colors = list(map(assignment.__getitem__, edges))
-    if max(colors, default=0) > t:  # colors are positive, so only > t is out of range
-        violations.extend(
-            Violation(ViolationKind.COLOR_OUT_OF_RANGE, edge=e, color=assignment[e])
-            for e in sorted(edges)
-            if assignment[e] > t
-        )
-    palettes: defaultdict[int, list[int]] = defaultdict(list)  # colors may pass 2**63
+def _palettes(edges: Iterable[Edge], colors: Iterable[int]) -> Mapping[int, list[int]]:
+    """Each end's colors of `edges`, colored by `colors` in order (lists: colors may pass 2**63)."""
+    palettes: defaultdict[int, list[int]] = defaultdict(list)
     for (u, v), c in zip(edges, colors):
         palettes[u].append(c)
         palettes[v].append(c)
-    found, unused = _check_palettes(palettes, set(colors), t, incomplete)
-    return violations + found, unused
+    return palettes
 
 
 def _check_palettes(
@@ -154,7 +135,7 @@ def _check_palettes(
 def _fail_listing(
     violations: list[Violation], unused: list[tuple[int, int]], piece_bytes: int
 ) -> Iterator[str]:
-    """The FAIL listing from _check_interval's result, in pieces of whole lines.
+    """The FAIL listing from _check_palettes' result, in pieces of whole lines.
 
     First `FAIL: N violation(s)`, then `  {v}` for each violation that
     verify_interval reports, in its order, one line per piece.  An
@@ -197,7 +178,23 @@ def verify_interval(g: Graph, coloring: EdgeColoring) -> IntervalReport:
     and unused colors are found as runs between the colors in use.  Only
     the report grows with the span, by one color-unused entry per color.
     """
-    violations, unused = _check_interval(g, coloring)
+    t, assignment = coloring.span_t, coloring.assignment
+    uncolored = sorted(g.edges - assignment.keys())
+    violations = [Violation(ViolationKind.EDGE_UNCOLORED, edge=e) for e in uncolored]
+    violations += [
+        Violation(ViolationKind.EDGE_UNKNOWN, edge=e) for e in sorted(assignment.keys() - g.edges)
+    ]
+    edges = g.edges & assignment.keys() if violations else assignment.keys()
+    colors = list(map(assignment.__getitem__, edges))
+    if max(colors, default=0) > t:  # colors are positive, so only > t is out of range
+        violations.extend(
+            Violation(ViolationKind.COLOR_OUT_OF_RANGE, edge=e, color=assignment[e])
+            for e in sorted(edges)
+            if assignment[e] > t
+        )
+    incomplete = {x for e in uncolored for x in e}
+    found, unused = _check_palettes(_palettes(edges, colors), set(colors), t, incomplete)
+    violations += found
     violations.extend(
         Violation(ViolationKind.COLOR_UNUSED, color=c)
         for lo, hi in unused

@@ -28,11 +28,11 @@ and colors once per chunk as it fills the palettes; a canonical graph
 file's text is read in lockstep, each chunk's pairs against its next
 ones, so no Graph is built.  Other text, and canonical text that fails a
 check, goes to the parser's line loop, which names every error.  Where
-verify's reader stops, at a chunk of either text, every coloring line
-before the chunk is a graph edge, given once, so verify's line loop
-starts there against the parsed Graph, and decodes the lines before it
-into its dict only if a later line's edge is at or below their last, or
-at the end of the text.
+verify's reader stops, at a chunk of either text, it drops its arrays and
+parses the graph text; every coloring line before the chunk is a graph
+edge, given once, so the line loop starts there and decodes the lines
+before it into its dict only if a later line's edge is at or below their
+last, or at the end of the text; the palettes are read from the dict.
 
 Each line loop is one pass over the lines: a shared ``_header`` reads
 the header, then the parser's own loop accepts a well-formed edge line
@@ -40,7 +40,8 @@ with one length test, ``int`` on each field and one range test.  Any
 other line goes to the shared ``_reject``, which skips blank and comment
 lines and raises the line's FormatError, so the checks and their order
 live in one place.  The parsed data is checked here once and handed to
-``Graph`` and ``EdgeColoring`` without a second check.
+``Graph`` and ``EdgeColoring`` without a second check; verify builds
+neither.
 
 Emission is canonical (pairs sorted, single trailing newline) and
 byte-stable, so emitted files are usable as goldens.  A coloring is
@@ -57,9 +58,9 @@ import re
 from collections import defaultdict
 from itertools import chain, islice, repeat
 from operator import lt
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .coloring import EdgeColoring, _canonical_coloring
+from .coloring import EdgeColoring, _canonical_coloring, _palettes
 from .graph import Edge, Graph, _canonical_graph
 
 
@@ -256,73 +257,75 @@ def emit_graph(g: Graph) -> str:
 
 
 def _coloring_palettes(
-    text: str, graph_text: str | None
-) -> tuple[tuple[int, int, int, Mapping[int, Sequence[int]], set[int]] | None,
-           tuple[int, int, int, int, Edge] | None]:
-    """((vertex_count, span_t, edge_count, palettes, used colors), None) of coloring
-    `text` that parse_coloring_with_graph's bulk path accepts, with ascending edge
-    lines, else (None, stop).  `graph_text`, a graph file's text or None, is read
-    in lockstep: each chunk's pairs must be its next ones, and it must end with
-    the coloring, its header counting the edges.
-
-    stop, (vertex_count, span_t, offset, line, last), is where the first chunk
-    not accepted starts; each line before it is canonical, passes the line loop's
-    checks and, with `graph_text`, is the graph text's next edge line, the last
-    with pair `last` ((0, 0) if none).  It is None only if the coloring's header
-    is not canonical or its span reaches 2**63.
+    text: str, graph_text: str | None, load_graph: Callable[[], Graph]
+) -> tuple[int, int, int, Mapping[int, Sequence[int]], set[int]]:
+    """(vertex_count, span_t, edge_count, palettes, used colors) of coloring `text`;
+    the line loop names its first error.  `graph_text`, a graph file's text or
+    None, is read in lockstep: each chunk's pairs must be its next ones, and it
+    must end with the coloring, its header counting the edges.
 
     Each chunk is walked once: the pairs must ascend (u never drops, v rises within
     a row), so ids are checked once per row (its first v is above u, its last v,
     as each chunk's last, at most vertex_count), and each color goes to the
     array('Q') of both ends (unsigned items append faster) once the chunk's colors
-    are in range."""
+    are in range.  At the first chunk not accepted (or a header that is not
+    canonical, or a span reaching 2**63) what it read goes, `load_graph()` parses
+    `graph_text` (its errors come first), and the line loop reads the coloring
+    from that chunk: each line before it is canonical, passes the line loop's
+    checks and, with `graph_text`, is a graph edge, given once."""
     from array import array  # a shared library that only verify loads
     palettes: defaultdict[int, array[int]] = defaultdict(lambda: array("Q"))
     used: set[int] = set()
     edge_count = row = last = 0
-    stop = None
+    stop = None  # (vertex_count, span_t, offset, line, last pair) of that chunk
     try:
         chunks = _canonical_chunks(text, _COLORING_SHAPE)
         start, (vertex_count, span_t) = next(chunks)
         if span_t >> 63:
-            return None, None  # every color fits a machine word, signed or not
+            raise ValueError("a color may not fit a machine word, signed or not")
         stop = vertex_count, span_t, start, 2, (0, 0)
         if graph_text is not None:
             graph_chunks = _canonical_chunks(graph_text, _GRAPH_SHAPE)
             _, (graph_vertices, graph_edges) = next(graph_chunks)
             pairs = chain.from_iterable(numbers for _, numbers in graph_chunks)
             if graph_vertices != vertex_count:
-                return None, stop
+                raise ValueError("the vertex counts differ")
         for end, flat in chunks:
             cs = flat[2::3]
             if max(cs) > span_t:
-                return None, stop
+                raise ValueError("out of range")
             it = iter(flat)
             for u, v, c in zip(it, it, it):
                 if u == row:
                     if v <= last:
-                        return None, stop
+                        raise ValueError("not ascending")
                 elif u > row and v > u and last <= vertex_count:
                     row, append = u, palettes[u].append
                 else:
-                    return None, stop
+                    raise ValueError("not ascending")
                 append(c)
                 palettes[v].append(c)
                 last = v
             if last > vertex_count:
-                return None, stop
+                raise ValueError("out of range")
             if graph_text is not None:
                 del flat[2::3]
                 if list(islice(pairs, len(flat))) != flat:
-                    return None, stop
+                    raise ValueError("not the graph's edges")
             used.update(cs)
             edge_count += len(cs)
             stop = vertex_count, span_t, end, edge_count + 2, (row, last)
         if graph_text is not None and (graph_edges != edge_count or next(pairs, None) is not None):
-            return None, stop  # the line loop names the missing edge, parse_graph a bad count
+            raise ValueError("a missing edge or a bad count")
+        return vertex_count, span_t, edge_count, palettes, used
     except ValueError:  # not canonical, the graph text included
-        return None, stop
-    return (vertex_count, span_t, edge_count, palettes, used), None
+        # All the reader holds goes before the line loop runs, as if it returned.
+        palettes = used = chunks = flat = cs = it = append = graph_chunks = pairs = None
+    vertex_count, span_t, assignment = _parse_coloring_lines(
+        text, None if graph_text is None else load_graph(), stop
+    )
+    colors = assignment.values()
+    return vertex_count, span_t, len(assignment), _palettes(assignment, colors), set(colors)
 
 
 def parse_coloring_with_graph(
@@ -334,6 +337,7 @@ def parse_coloring_with_graph(
     (unknown-edge / missing-edge errors otherwise).  Without it, the
     graph is reconstructed from the edge lines themselves.
     """
+    read = None
     try:
         chunks = _canonical_chunks(text, _COLORING_SHAPE)
         _, (vertex_count, span_t) = next(chunks)
@@ -347,21 +351,23 @@ def parse_coloring_with_graph(
             if len(assignment) == lines and (  # no duplicate, unknown or missing edge
                 graph is None or graph.edge_count == lines and graph.edges.issuperset(assignment)
             ):
-                if graph is None:
-                    graph = _canonical_graph(vertex_count, frozenset(assignment))
-                return graph, _canonical_coloring(assignment, span_t)
+                read = vertex_count, span_t, assignment
     except ValueError:  # not canonical: the line loop names the error
         pass
-    return _parse_coloring_lines(text, graph)
+    vertex_count, span_t, assignment = read or _parse_coloring_lines(text, graph)
+    if graph is None:
+        graph = _canonical_graph(vertex_count, frozenset(assignment))
+    return graph, _canonical_coloring(assignment, span_t)
 
 
 def _parse_coloring_lines(
     text: str, graph: Graph | None, stop: tuple[int, int, int, int, Edge] | None = None
-) -> tuple[Graph, EdgeColoring]:
-    """parse_coloring_with_graph's line loop: any text, naming the first error.
-    Given _coloring_palettes' `stop` for `text` and the text `graph` was parsed
-    from, it starts there; the lines before it go to its dict only once a line's
-    edge is at or below their last or the text ends."""
+) -> tuple[int, int, dict[Edge, int]]:
+    """parse_coloring_with_graph's line loop: any text, naming the first error;
+    returns (vertex_count, span_t, the colors of the edges).  Given
+    _coloring_palettes' `stop` for `text` and the text `graph` was parsed from,
+    it starts there; the lines before it go to its dict only once a line's edge
+    is at or below their last or the text ends."""
     if stop is None:
         lines = enumerate(text.splitlines(), start=1)
         header_line, vertex_count, span_t = _header(lines, "c", "span_t")
@@ -412,14 +418,12 @@ def _parse_coloring_lines(
         _reject(tokens, lineno, vertex_count, 3)
     if top:
         assignment = _colors_before(text, offset) | assignment
-    if graph is None:
-        graph = _canonical_graph(vertex_count, frozenset(assignment))
-    elif len(assignment) != graph.edge_count:  # every line named a graph edge
+    if graph is not None and len(assignment) != graph.edge_count:  # each line is a graph edge
         missing = min(graph.edges - assignment.keys())
         raise FormatError(
             "missing-edge", f"graph edge {missing} has no line in the file", header_line
         )
-    return graph, _canonical_coloring(assignment, span_t)
+    return vertex_count, span_t, assignment
 
 
 def _colors_before(text: str, offset: int) -> dict[Edge, int]:

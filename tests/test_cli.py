@@ -30,7 +30,6 @@ from intervalcoloring import (
 import intervalcoloring
 from intervalcoloring import graph as graph_module
 from intervalcoloring import cli as cli_module
-from intervalcoloring import coloring as coloring_module
 from intervalcoloring import io as coloring_io
 from intervalcoloring.cli import main, run
 
@@ -230,8 +229,8 @@ def test_verify_listing_is_the_library_report(tmp_path):
 
 def test_canonical_text_takes_the_column_path(monkeypatch, tmp_path):
     # Canonical text is read in chunks into per-vertex palettes: neither
-    # parser, nor the object checker, is called for a PASS or a FAIL, and an
-    # emit_graph file is read in lockstep.  A graph file that is not emit_graph
+    # parser, nor the dict-to-palettes step, is called for a PASS or a FAIL,
+    # and an emit_graph file is read in lockstep.  A graph file that is not emit_graph
     # text (its edge lines reversed, or a comment line past its first chunk) is
     # parsed, and the coloring goes to the line loop from where the reader
     # stopped: it still passes.
@@ -259,14 +258,39 @@ def test_canonical_text_takes_the_column_path(monkeypatch, tmp_path):
 
     monkeypatch.setattr(coloring_io, "_parse_coloring_lines", refuse)
     monkeypatch.setattr(coloring_io, "parse_coloring_with_graph", refuse)
-    monkeypatch.setattr(coloring_module, "_check_interval", refuse)
-    monkeypatch.setattr(cli_module, "_check_interval", refuse)
+    monkeypatch.setattr(coloring_io, "_palettes", refuse)
     assert run_cli(["verify", "-"], text) == (0, pass_line, "")
     assert run_cli(["verify", "-", "--graph", str(tmp_path / "k120.graph")], text) == (
         0, pass_line, ""
     )
     for edited, want in expected.items():
         assert run_cli(["verify", "-"], edited) == want
+
+
+def test_out_of_order_text_is_verified_without_records(monkeypatch, tmp_path):
+    # K_40 text with its edge lines reversed goes to the line loop, whose dict
+    # gives the palettes: no EdgeColoring is built, nor, without --graph, a
+    # Graph.  Its PASS, and its FAIL for a clash, are those of the text in order.
+    _, text, _ = run_cli(["construct", "--n", "20"])
+    clashing = text.replace("\ne 1 3 2\n", "\ne 1 3 1\n", 1)
+    assert clashing != text
+    reversed_texts = []
+    for t in (text, clashing):
+        header, *lines = t.splitlines(keepends=True)
+        reversed_texts.append(header + "".join(lines[::-1]))
+    expected = [run_cli(["verify", "-"], t) for t in (text, clashing)]
+    assert [code for code, _, _ in expected] == [0, 1]
+    graph_path = tmp_path / "k40.graph"
+    graph_path.write_text(emit_graph(complete_graph(40)))
+
+    def refuse(*args):
+        raise AssertionError("the line path built a record")
+
+    monkeypatch.setattr(coloring_io, "_canonical_coloring", refuse)
+    argv = ["verify", "-", "--graph", str(graph_path)]
+    assert [run_cli(argv, t) for t in reversed_texts] == expected
+    monkeypatch.setattr(coloring_io, "_canonical_graph", refuse)
+    assert [run_cli(["verify", "-"], t) for t in reversed_texts] == expected
 
 
 def test_verify_peak_memory_is_bounded():
@@ -317,25 +341,6 @@ def test_verify_graph_peak_memory_is_the_texts_and_the_palettes(tmp_path):
     assert (code, err.getvalue()) == (0, "")
     assert out.getvalue() == "PASS: interval coloring of 400 vertices, span 598, 79800 edges\n"
     assert peak < 5 << 20
-
-
-def _line_loop_verdict(text, graph=None):
-    """verify's (exit code, stdout, stderr) on stdin `text` as the line loop
-    and the object checker give it."""
-    try:
-        graph, coloring = coloring_io._parse_coloring_lines(text, graph)
-    except FormatError as exc:
-        return 2, "", f"error: -: {exc}\n"
-    violations, unused = coloring_module._check_interval(graph, coloring)
-    listing = [f"  {v}\n" for v in violations] + [
-        f"  color-unused at color {c}\n" for lo, hi in unused for c in range(lo, hi + 1)
-    ]
-    if listing:
-        return 1, f"FAIL: {len(listing)} violation(s)\n" + "".join(listing), ""
-    return 0, (
-        f"PASS: interval coloring of {graph.vertex_count} vertices, "
-        f"span {coloring.span_t}, {graph.edge_count} edges\n"
-    ), ""
 
 
 @pytest.mark.parametrize("size", [1, 8, 20, 64, None])
@@ -423,23 +428,29 @@ def test_chunked_verify_is_the_line_loop_across_chunk_boundaries(monkeypatch, tm
         (body(lines[1 : k + 2] + ["e 1 2 2\n"] + lines[k + 2 :]), None, False),
         (body(lines[: k + 1] + ["# a comment\n"] + lines[k + 1 :]), None, False),
     ]
+    line_loop = []
+    parse_lines = coloring_io._parse_coloring_lines
+    monkeypatch.setattr(
+        coloring_io, "_parse_coloring_lines", lambda *a: line_loop.append(a) or parse_lines(*a)
+    )
     for edited, graph, accepted in cases:
-        graph_text = None if graph is None else emit_graph(graph)
-        assert (coloring_io._coloring_palettes(edited, graph_text)[0] is not None) == accepted
         argv = ["verify", "-"]
         if graph is not None:
-            (tmp_path / "g.graph").write_text(graph_text)
+            (tmp_path / "g.graph").write_text(emit_graph(graph))
             argv += ["--graph", str(tmp_path / "g.graph")]
-        assert run_cli(argv, edited) == _line_loop_verdict(edited, graph)
+        line_loop.clear()
+        verdict = run_cli(argv, edited)
+        assert (not line_loop) == accepted
+        assert verdict == _library_verdict(edited, graph)[0]
     # What the line loop names in the resumed cases.
     repeat_p, past, repeat_2, moved, not_proper, comment = [
-        _line_loop_verdict(t) for t, _, _ in cases[-6:]
+        _library_verdict(t)[0] for t, _, _ in cases[-6:]
     ]
     assert repeat_p[2] == f"error: -: line {k + 3}: duplicate edge ({i_k}, {j_k})\n"
     assert past[2] == f"error: -: line {e + 2}: vertex ids ({ei}, 81) out of range 1..80\n"
     assert repeat_2[2] == f"error: -: line {k + 4}: duplicate edge (1, 2)\n"
     assert (moved[0], not_proper[0]) == (0, 1)
-    assert comment == _line_loop_verdict(text)
+    assert comment == _library_verdict(text)[0]
 
 
 def test_the_line_loop_resumes_where_the_chunk_reader_stopped(monkeypatch):
@@ -461,7 +472,8 @@ def test_the_line_loop_resumes_where_the_chunk_reader_stopped(monkeypatch):
 def test_verify_reads_the_coloring_in_bulk_once(monkeypatch, tmp_path):
     # A lockstep stop, at a coloring line the graph text does not match or at
     # a graph file emit_graph did not write, goes to the line loop from the
-    # stop: the chunk reader runs once per command.
+    # stop inside the one _coloring_palettes call, which parses the graph file
+    # once: the chunk reader runs once per command.
     _, text, _ = run_cli(["construct", "--n", "60"])
     graph_text = emit_graph(complete_graph(120))
     header, *lines = text.splitlines(keepends=True)
@@ -470,19 +482,19 @@ def test_verify_reads_the_coloring_in_bulk_once(monkeypatch, tmp_path):
     graph_header, *edge_lines = graph_text.splitlines(keepends=True)
     reversed_graph = graph_header + "".join(edge_lines[::-1])
     calls = []
-    bulk = coloring_io._coloring_palettes
 
-    def counted(*args):
-        calls.append(args)
-        return bulk(*args)
+    def count(name):
+        real = getattr(coloring_io, name)
+        monkeypatch.setattr(coloring_io, name, lambda *args: calls.append(name) or real(*args))
 
-    monkeypatch.setattr(coloring_io, "_coloring_palettes", counted)
+    count("_coloring_palettes")
+    count("parse_graph")
     for coloring_text, graph_file, code in ((missing, graph_text, 2), (text, reversed_graph, 0)):
         (tmp_path / "g.graph").write_text(graph_file)
         calls.clear()
         verdict = run_cli(["verify", "-", "--graph", str(tmp_path / "g.graph")], coloring_text)
-        assert len(calls) == 1
-        assert verdict == _line_loop_verdict(coloring_text, parse_graph(graph_file))
+        assert calls == ["_coloring_palettes", "parse_graph"]
+        assert verdict == _library_verdict(coloring_text, parse_graph(graph_file))[0]
         assert verdict[0] == code
 
 
@@ -506,10 +518,10 @@ def test_chunked_verify_is_the_line_loop_on_mutated_files(tmp_path_factory, case
     # when it is emit_graph text, else parsed; the oracle parses it.
     text, graph = case
     graph_path = str(tmp_path_factory.getbasetemp() / "mutated.graph")
-    runs = [(["verify", "-"], None, _line_loop_verdict(text))]
+    runs = [(["verify", "-"], None, _library_verdict(text)[0])]
     for graph_text in _graph_files(graph, at) if graph is not None else ():
         try:
-            expected = _line_loop_verdict(text, parse_graph(graph_text))
+            expected = _library_verdict(text, parse_graph(graph_text))[0]
         except FormatError as exc:
             expected = (2, "", f"error: {graph_path}: {exc}\n")
         runs.append((["verify", "-", "--graph", graph_path], graph_text, expected))
@@ -530,10 +542,13 @@ def test_a_color_past_a_machine_word_never_reaches_an_array(monkeypatch):
     assert run_cli(["verify", "-"], text) == (
         2, "", "error: -: line 4: duplicate edge (1, 3)\n"
     )
-    # Colors of 2**63 and 2**66 in text the chunk reader would otherwise take.
+    # Colors of 2**63 and 2**66 in text the chunk reader would otherwise take:
+    # the line loop reads them, into palettes of Python ints.
     for color in (1 << 63, 1 << 66):
         wide = f"c 3 {1 << 66}\ne 1 2 {color}\ne 1 3 1\n"
-        assert coloring_io._coloring_palettes(wide, None) == (None, None)
+        assert coloring_io._coloring_palettes(wide, None, None) == (
+            3, 1 << 66, 2, {1: [color, 1], 2: [color], 3: [1]}, {color, 1}
+        )
 
 
 def test_verify_against_graph_file(tmp_path):

@@ -14,7 +14,7 @@ from intervalcoloring import (
     graph_from_edges,
     verify_interval,
 )
-from intervalcoloring.coloring import _check_interval
+from intervalcoloring.coloring import _check_palettes
 
 # Frozen by hand-evaluating the eight clauses at n=2: region checks give
 # cases 1, 4, 4, 6, 4, 8 for the six edges in lexicographic order.
@@ -177,11 +177,9 @@ def test_verify_work_is_not_sized_by_the_header():
 
 
 def test_unused_color_runs_are_not_sized_by_the_span():
-    g = Graph(2, {(1, 2)})
-    c = EdgeColoring({(1, 2): 1}, span_t=10**9)
     tracemalloc.start()
     try:
-        assert _check_interval(g, c) == ([], [(2, 10**9)])
+        assert _check_palettes({1: [1], 2: [1]}, {1}, 10**9, ()) == ([], [(2, 10**9)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -210,12 +208,16 @@ def _matching(colors):
 def test_unused_color_runs(assignment, span, graph_edges, runs):
     g = graph_from_edges(6, assignment if graph_edges is None else graph_edges)
     c = EdgeColoring(assignment, span)
-    found, unused = _check_interval(g, c)
-    assert unused == runs
+    # Only the colors on edges of the graph are in use.
+    used = [color for e, color in assignment.items() if e in g.edges]
+    assert _check_palettes({}, used, span, ())[1] == runs
     # verify_interval lists the same colors, one violation each, last.
-    assert verify_interval(g, c).violations == tuple(found) + tuple(
+    violations = verify_interval(g, c).violations
+    tail = tuple(
         Violation(ViolationKind.COLOR_UNUSED, color=x) for lo, hi in runs for x in range(lo, hi + 1)
     )
+    found = violations[: len(violations) - len(tail)]
+    assert violations == found + tail
     assert ViolationKind.COLOR_UNUSED not in {v.kind for v in found}
 
 
@@ -223,11 +225,14 @@ def test_unused_color_runs(assignment, span, graph_edges, runs):
 @given(colored_graphs())
 def test_unused_color_runs_match_the_definition(gc):
     g, c = gc
-    found, unused = _check_interval(g, c)
+    _, unused = _check_palettes({}, c.assignment.values(), c.span_t, ())
     colors = [x for lo, hi in unused for x in range(lo, hi + 1)]
     assert colors == sorted(set(range(1, c.span_t + 1)) - set(c.assignment.values()))
     assert all(hi + 1 < lo for (_, hi), (lo, _) in zip(unused, unused[1:]))
-    assert verify_interval(g, c).violations == tuple(found) + tuple(
+    violations = verify_interval(g, c).violations
+    tail = [v.color for v in violations if v.kind is ViolationKind.COLOR_UNUSED]
+    assert tail == colors
+    assert violations[len(violations) - len(tail) :] == tuple(
         Violation(ViolationKind.COLOR_UNUSED, color=x) for x in colors
     )
 
